@@ -3,12 +3,13 @@
 
 GO ?= go
 
-# The perf-trajectory benchmark set (see BENCH_9.json and README
+# The perf-trajectory benchmark set (see BENCH_12.json and README
 # "Performance"). BenchmarkAblationOfflineHorizonLP (unanchored) matches
 # both the sparse default and its Dense reference variant, so cmd/perf
 # can gate their same-run speedup ratio; BenchmarkGeoStep carries the
-# geo fan-out's allocs/op gate at every fleet size.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate
+# geo fan-out's allocs/op gate at every fleet size, and BenchmarkGeoLP
+# the sparse LP's storage contract (a week of the geo-div ±30% point).
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkGeoLP$$|BenchmarkTuneEvaluate
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
@@ -86,9 +87,10 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # Regenerate the committed benchmark trajectory file: runs the key hot-path
-# benchmarks with -benchmem and rewrites BENCH_10.json's "current" block
-# (its "baseline" block — the pre-tuner PR-9 reference — is carried over
-# unchanged; older trajectories survive in BENCH_9/8/7/5/4.json). The
+# benchmarks with -benchmem and rewrites BENCH_12.json's "current" block
+# (its "baseline" block — the sparse LP before its storage contract — is
+# carried over unchanged; older trajectories survive in
+# BENCH_10/9/8/7/5/4.json). The
 # year-long annual LP joins at one iteration: ~10 s per solve on the
 # hyper-sparse kernels, and cmd/perf gates it against a 20 s wall-clock
 # budget on the CI -check path. The bench output goes through a file, not
@@ -97,5 +99,5 @@ serve-smoke:
 perf:
 	$(GO) test -bench='$(PERF_BENCHES)' -benchmem -benchtime=20x -run '^$$' . > bench.out
 	$(GO) test -bench=BenchmarkAblationOfflineAnnualLP -benchmem -benchtime=1x -run '^$$' . >> bench.out
-	$(GO) run ./cmd/perf -out BENCH_10.json -note "make perf" < bench.out
+	$(GO) run ./cmd/perf -out BENCH_12.json -note "make perf" < bench.out
 	@rm -f bench.out

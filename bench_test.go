@@ -1,11 +1,11 @@
 package smartdpss_test
 
 // One benchmark per reproduced table/figure of the paper's evaluation
-// (Sec. VI), plus ablation benches for the design choices called out in
-// DESIGN.md. Each figure bench runs its experiment end to end on a
-// shortened horizon so `go test -bench=.` regenerates every row the paper
-// reports in bounded time; `cmd/experiments` prints the full-month
-// versions.
+// (Sec. VI), plus ablation benches for the library's design choices
+// (the P5 solver, the offline LP formulations). Each figure bench runs
+// its experiment end to end on a shortened horizon so `go test -bench=.`
+// regenerates every row the paper reports in bounded time;
+// `cmd/experiments` prints the full-month versions.
 
 import (
 	"fmt"
@@ -289,6 +289,32 @@ func BenchmarkGeoStep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGeoLP measures the geo-div point at its ±30% price spread
+// (3 sites, a week) with the clairvoyant LP router: nearly all of the
+// time goes to the coupled routing+supply LP on the sparse revised
+// simplex. The allocs/op gate in cmd/perf pins the LP's storage
+// contract — geometric factor/eta/model growth and the flat term arena
+// — so a return to per-row or exact-length allocations trips it.
+func BenchmarkGeoLP(b *testing.B) {
+	sites := benchGeoSites(3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := dpss.RunGeo(dpss.GeoOptions{
+			Sites:    sites,
+			Policy:   dpss.PolicySmartDPSS,
+			Router:   dpss.GeoRouterLP,
+			Parallel: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.MovedMWh <= 0 {
+			b.Fatal("the LP router moved no workload")
+		}
 	}
 }
 

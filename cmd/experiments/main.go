@@ -22,7 +22,8 @@
 //	-fig           deprecated alias for -run (kept for old scripts)
 //	-parallel      worker-pool width; 0 (default) uses GOMAXPROCS, 1
 //	               forces sequential execution; results are
-//	               byte-identical at every level
+//	               byte-identical at every level; negative widths
+//	               are rejected
 //	-json          emit the tables as a JSON array instead of aligned
 //	               text
 //	-days          trace horizon in days (paper: 31)
@@ -69,6 +70,10 @@ func run(args []string) error {
 	outDir := fs.String("out-dir", "", "also write each table as CSV into this directory")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *parallel < 0 {
+		fs.Usage()
+		return fmt.Errorf("-parallel %d: the worker-pool width must be 0 (GOMAXPROCS) or positive", *parallel)
 	}
 
 	if *list {

@@ -73,6 +73,13 @@ func TestRunParallelLevels(t *testing.T) {
 	}
 }
 
+func TestRunRejectsNegativeParallel(t *testing.T) {
+	err := run([]string{"-days", "2", "-skip-offline", "-run", "fig7", "-parallel", "-2"})
+	if err == nil || !strings.Contains(err.Error(), "-parallel -2") {
+		t.Errorf("-parallel -2: err = %v, want a usage error naming the flag", err)
+	}
+}
+
 func TestRunUnknownFigure(t *testing.T) {
 	if err := run([]string{"-days", "2", "-fig", "fig99"}); err == nil {
 		t.Error("unknown figure accepted")

@@ -15,13 +15,16 @@
 //
 // With -check FILE the parsed results are additionally compared against
 // FILE's "current" block: the run fails (exit 1) when the allocation
-// count of any gated benchmark regresses beyond the tolerance.
+// count of any gated benchmark regresses beyond the tolerance, or when a
+// gated benchmark is missing from the run.
 // Allocations per op are deterministic — unlike ns/op they do not
 // depend on CI machine load — which makes them the right regression
 // signal for an allocation-free hot path. Two further gate families run
 // on the -check path: same-run speedup ratios (sparse vs dense
 // reference, load-independent) and coarse absolute wall-clock budgets
-// (the annual LP's ≤20 s hyper-sparsity pin).
+// (the annual LP's ≤20 s hyper-sparsity pin). Every gate fails loud: a
+// gated benchmark absent from the parsed input fails the check rather
+// than passing it silently.
 package main
 
 import (
@@ -29,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -76,10 +80,15 @@ var gated = map[string]float64{
 	// for its whole budget, so a per-evaluation allocation regression
 	// multiplies across every tuning run.
 	"BenchmarkTuneEvaluate": 1.10,
+	// The geo-div point's coupled routing+supply LP on the sparse
+	// revised simplex: geometric factor/eta/model growth and the flat
+	// term arena hold it to a few hundred allocations, where per-row
+	// term copies or exact-length regrowth cost thousands.
+	"BenchmarkGeoLP": 1.10,
 }
 
 // speedupGates are same-run ns/op ratio assertions: each entry requires
-// fast ≤ maxRatio × slow whenever both benchmarks appear in the parsed
+// fast ≤ maxRatio × slow, and both benchmarks must appear in the parsed
 // input. Comparing two measurements from the same run keeps the gate
 // machine-load independent (both sides see the same CPU), unlike an
 // absolute ns/op threshold. The horizon entry is the sparse revised
@@ -113,25 +122,10 @@ func main() {
 	note := flag.String("note", "", "provenance note stored with the current block")
 	flag.Parse()
 
-	results := make(map[string]Result)
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // pass the raw output through for the log
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		ns, _ := strconv.ParseFloat(m[2], 64)
-		bytes, _ := strconv.ParseInt(m[3], 10, 64)
-		allocs, _ := strconv.ParseInt(m[4], 10, 64)
-		results[m[1]] = Result{NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs}
-	}
-	if err := sc.Err(); err != nil {
-		fatalf("reading stdin: %v", err)
-	}
-	if len(results) == 0 {
-		fatalf("no benchmark result lines found on stdin (did you pass -benchmem?)")
+	// Pass the raw output through for the log.
+	results, err := parse(os.Stdin, os.Stdout)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	if *check != "" {
@@ -139,14 +133,14 @@ func main() {
 		if err != nil {
 			fatalf("loading %s: %v", *check, err)
 		}
-		if err := gate(results, committed); err != nil {
+		if err := gate(results, committed, os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("perf: allocation gate passed against %s\n", *check)
-		if err := gateSpeedups(results); err != nil {
+		if err := gateSpeedups(results, os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
-		if err := gateWall(results); err != nil {
+		if err := gateWall(results, os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -177,6 +171,34 @@ func main() {
 	}
 }
 
+// parse reads `go test -bench -benchmem` output from r, copying every
+// line to echo, and returns the result lines keyed by benchmark name
+// (the -N GOMAXPROCS suffix stripped). Input without a single result
+// line is an error.
+func parse(r io.Reader, echo io.Writer) (map[string]Result, error) {
+	results := make(map[string]Result)
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		m := benchLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		ns, _ := strconv.ParseFloat(m[2], 64)
+		bytes, _ := strconv.ParseInt(m[3], 10, 64)
+		allocs, _ := strconv.ParseInt(m[4], 10, 64)
+		results[m[1]] = Result{NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("reading benchmark output: %w", err)
+	}
+	if len(results) == 0 {
+		return nil, fmt.Errorf("no benchmark result lines found on stdin (did you pass -benchmem?)")
+	}
+	return results, nil
+}
+
 func load(path string) (*File, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -189,8 +211,9 @@ func load(path string) (*File, error) {
 	return &f, nil
 }
 
-// gate compares fresh allocs/op against the committed current block.
-func gate(fresh map[string]Result, committed *File) error {
+// gate compares fresh allocs/op against the committed current block,
+// reporting each passed gate to w.
+func gate(fresh map[string]Result, committed *File, w io.Writer) error {
 	if committed.Current == nil {
 		return fmt.Errorf("committed file has no current block")
 	}
@@ -208,21 +231,20 @@ func gate(fresh map[string]Result, committed *File) error {
 			return fmt.Errorf("%s allocations regressed: %d allocs/op vs committed %d (limit %d)",
 				name, got.AllocsPerOp, want.AllocsPerOp, limit)
 		}
-		fmt.Printf("perf: %s at %d allocs/op (committed %d, limit %d)\n",
+		fmt.Fprintf(w, "perf: %s at %d allocs/op (committed %d, limit %d)\n",
 			name, got.AllocsPerOp, want.AllocsPerOp, limit)
 	}
 	return nil
 }
 
-// gateSpeedups enforces the same-run ns/op ratio gates. A gate only
-// fires when both of its benchmarks were measured in this run, so
-// partial benchmark selections skip it rather than failing.
-func gateSpeedups(fresh map[string]Result) error {
+// gateSpeedups enforces the same-run ns/op ratio gates. Both
+// benchmarks of every gate must have been measured in this run.
+func gateSpeedups(fresh map[string]Result, w io.Writer) error {
 	for _, g := range speedupGates {
 		fast, okF := fresh[g.fast]
 		slow, okS := fresh[g.slow]
 		if !okF || !okS {
-			continue
+			return fmt.Errorf("speedup-gated pair %s/%s missing from this run", g.fast, g.slow)
 		}
 		if slow.NsPerOp <= 0 {
 			return fmt.Errorf("%s measured at %.0f ns/op; cannot gate a ratio against it",
@@ -233,24 +255,24 @@ func gateSpeedups(fresh map[string]Result) error {
 			return fmt.Errorf("%s/%s ratio %.3f exceeds %.2f: the sparse path no longer beats the dense reference",
 				g.fast, g.slow, ratio, g.maxRatio)
 		}
-		fmt.Printf("perf: %s at %.3fx of %s (gate %.2f)\n", g.fast, ratio, g.slow, g.maxRatio)
+		fmt.Fprintf(w, "perf: %s at %.3fx of %s (gate %.2f)\n", g.fast, ratio, g.slow, g.maxRatio)
 	}
 	return nil
 }
 
-// gateWall enforces the absolute wall-clock budgets. A gate only fires
-// when its benchmark was measured in this run.
-func gateWall(fresh map[string]Result) error {
+// gateWall enforces the absolute wall-clock budgets. Every budgeted
+// benchmark must have been measured in this run.
+func gateWall(fresh map[string]Result, w io.Writer) error {
 	for name, budget := range wallGates {
 		got, ok := fresh[name]
 		if !ok {
-			continue
+			return fmt.Errorf("wall-gated benchmark %s missing from this run", name)
 		}
 		if got.NsPerOp > budget {
 			return fmt.Errorf("%s wall clock %.1f s exceeds the %.0f s budget",
 				name, got.NsPerOp/1e9, budget/1e9)
 		}
-		fmt.Printf("perf: %s at %.1f s (budget %.0f s)\n", name, got.NsPerOp/1e9, budget/1e9)
+		fmt.Fprintf(w, "perf: %s at %.1f s (budget %.0f s)\n", name, got.NsPerOp/1e9, budget/1e9)
 	}
 	return nil
 }

@@ -16,9 +16,9 @@ var ExtEstimatorAblationTValues = []int{6, 24, 72, 144}
 // coarse interval from the single boundary-slot observation) versus this
 // library's default (the trailing means of the previous interval). The
 // snapshot is adequate at T = 24 with hourly slots but misestimates
-// multi-day intervals badly — the reason DESIGN.md adopts trailing means
-// as the default. Each T (a trailing/snapshot simulation pair) is a pool
-// job.
+// multi-day intervals badly — the reason the library adopts trailing
+// means as the default. Each T (a trailing/snapshot simulation pair) is
+// a pool job.
 func ExtEstimatorAblation(cfg Config) (*Table, error) {
 	traces, err := baseTraces(cfg)
 	if err != nil {

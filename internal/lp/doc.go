@@ -177,10 +177,37 @@
 // A Solver owns every working buffer (standard-form rewrite, tableau
 // arena, solution vector) and reuses them across solves; long sequences
 // of same-shape problems solve allocation-free once the buffers have
-// grown. Problem.Reset rebuilds a model in place, reusing per-row term
-// storage. The Solution returned by Solver.Solve borrows the solver's
+// grown. The Solution returned by Solver.Solve borrows the solver's
 // buffers and is valid only until the next solve; Problem.Minimize is
 // the throwaway-solver convenience that detaches its values.
+//
+// Storage is allocation-stable, and no storage decision changes the value
+// or the order of any floating-point operation:
+//
+//   - A Problem keeps every row's terms back to back in one term arena,
+//     each row holding an offset range into it. AddConstraint copies the
+//     caller's terms into the arena (the caller may reuse its buffer at
+//     once) and Problem.Reset truncates it, so a rebuild writes over the
+//     same storage.
+//   - Buffers filled by append — the model's variables, rows and terms,
+//     the sparse rows, the L/U factors, the eta file, the pattern lists
+//     — reserve room first through scratch.Grow, which at least doubles
+//     the capacity when it must reallocate. A buffer that creeps up by a
+//     few entries per call (the factor fill across refactorizations, the
+//     eta file across pivots) therefore reallocates a logarithmic number
+//     of times, not once per increase.
+//   - Buffers derived from another buffer are sized from that buffer's
+//     capacity: the transposed L/U adjacency mirrors the factors' entry
+//     arrays and reallocates only when they do.
+//
+// Measured on the geo-div ±30% point (3 sites, 31 days: a 14,229-row
+// coupled routing+supply LP, about 510 refactorizations), one routed
+// run allocated 65 MB in 15.5k objects when the transposes regrew at the
+// exact fill length on every refactorization, each row copied its terms
+// into a buffer of its own and the large arrays grew by append's 1.25×
+// steps; under this contract it allocates 22 MB in about 380 objects.
+// The year-long horizon LP went from 355 MB in 46k objects to 88 MB in
+// 341.
 //
 // The problems produced by SmartDPSS are tiny (2–6 variables per fine
 // slot) or moderate (a few hundred variables for the per-day offline

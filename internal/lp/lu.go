@@ -48,7 +48,14 @@ const (
 //
 // All storage is flat and reused across factorizations; after the first
 // few solves of a fixed-shape problem sequence the type allocates
-// nothing.
+// nothing. Growth is geometric, because the fill creeps up across a
+// solve's refactorizations: the factor and eta arrays reserve room
+// through scratch.Grow before their append loops, and the transposed
+// adjacency is sized from the capacity of the factor arrays it mirrors.
+// Regrowing the transposes at the exact fill length instead cost 37 MB
+// of the geo-div LP's 65 MB per solve; under geometric growth the whole
+// solve allocates about 22 MB (see the package documentation's memory
+// model).
 type basisLU struct {
 	m  int
 	nk int // elimination steps completed (== m after factorize)
@@ -139,10 +146,10 @@ func (lu *basisLU) factorize(rs *revised) {
 	lu.nk = 0
 	lu.neta = 0
 	lu.deficient = 0
-	lu.lstart = append(lu.lstart[:0], 0)
+	lu.lstart = append(scratch.Grow(lu.lstart[:0], m+1), 0)
 	lu.lrow = lu.lrow[:0]
 	lu.lval = lu.lval[:0]
-	lu.ustart = append(lu.ustart[:0], 0)
+	lu.ustart = append(scratch.Grow(lu.ustart[:0], m+1), 0)
 	lu.urow = lu.urow[:0]
 	lu.uval = lu.uval[:0]
 	lu.udiag = scratch.For(lu.udiag, m)
@@ -167,7 +174,8 @@ func (lu *basisLU) factorize(rs *revised) {
 	lu.mark = scratch.Zeroed(lu.mark, m)
 	lu.stack = scratch.For(lu.stack, m)
 	lu.si = scratch.For(lu.si, m)
-	lu.topo = lu.topo[:0]
+	lu.topo = scratch.Grow(lu.topo[:0], m) // postorders list distinct nodes
+	lu.topo2 = scratch.Grow(lu.topo2[:0], m)
 	lu.tk = scratch.For(lu.tk, m)
 
 	lu.sortByColumnNnz(rs)
@@ -177,7 +185,6 @@ func (lu *basisLU) factorize(rs *revised) {
 	}
 
 	lu.buildTransposes()
-	lu.topo2 = lu.topo2[:0]
 	lu.cs = scratch.Zeroed(lu.cs, m)
 	lu.tks = scratch.Zeroed(lu.tks, m)
 	lu.nfactor++
@@ -186,7 +193,10 @@ func (lu *basisLU) factorize(rs *revised) {
 // buildTransposes derives the transposed adjacency of the U and L
 // factors (counting-sort CSR builds, deterministic) plus the inverse
 // basis-position permutation. The hyper-sparse btranUnit needs these to
-// run its reachability DFS in the transposed direction.
+// run its reachability DFS in the transposed direction. The transposed
+// entry arrays are sized from the capacity of the factor arrays they
+// mirror, so they reallocate only when those do (geometrically), not
+// each time the fill creeps up by a few entries.
 func (lu *basisLU) buildTransposes() {
 	m := lu.m
 	lu.kOfPos = scratch.For(lu.kOfPos, m)
@@ -201,8 +211,8 @@ func (lu *basisLU) buildTransposes() {
 	for k := 0; k < m; k++ {
 		lu.utStart[k+1] += lu.utStart[k]
 	}
-	lu.utK = scratch.For(lu.utK, len(lu.urow))
-	lu.utV = scratch.For(lu.utV, len(lu.urow))
+	lu.utK = scratch.For(lu.utK, cap(lu.urow))[:len(lu.urow)]
+	lu.utV = scratch.For(lu.utV, cap(lu.urow))[:len(lu.urow)]
 	copy(lu.cnt[:m], lu.utStart[:m])
 	for k2 := 0; k2 < m; k2++ {
 		for i := lu.ustart[k2]; i < lu.ustart[k2+1]; i++ {
@@ -220,8 +230,8 @@ func (lu *basisLU) buildTransposes() {
 	for k := 0; k < m; k++ {
 		lu.ltStart[k+1] += lu.ltStart[k]
 	}
-	lu.ltK = scratch.For(lu.ltK, len(lu.lrow))
-	lu.ltV = scratch.For(lu.ltV, len(lu.lrow))
+	lu.ltK = scratch.For(lu.ltK, cap(lu.lrow))[:len(lu.lrow)]
+	lu.ltV = scratch.For(lu.ltV, cap(lu.lrow))[:len(lu.lrow)]
 	copy(lu.cnt[:m], lu.ltStart[:m])
 	for k2 := 0; k2 < m; k2++ {
 		for i := lu.lstart[k2]; i < lu.lstart[k2+1]; i++ {
@@ -356,6 +366,11 @@ func (lu *basisLU) factorColumn(rs *revised, pos int) {
 	}
 
 	diag := lu.x[pr]
+	n := len(lu.topo) // bounds the column's U and L entries
+	lu.urow = scratch.Grow(lu.urow, n)
+	lu.uval = scratch.Grow(lu.uval, n)
+	lu.lrow = scratch.Grow(lu.lrow, n)
+	lu.lval = scratch.Grow(lu.lval, n)
 	for _, r := range lu.topo {
 		xv := lu.x[r]
 		if k2 := lu.kOfRow[r]; k2 >= 0 {
@@ -687,7 +702,7 @@ func (lu *basisLU) btranUnit(pos int32, y []float64, yIdx []int32) ([]int32, boo
 	lu.mark[pos] = true
 	lu.topo = append(lu.topo, pos)
 	if lu.neta > 0 {
-		lu.ecand = scratch.Zeroed(lu.ecand, lu.neta)
+		lu.ecand = scratch.Zeroed(scratch.Grow(lu.ecand[:0], lu.neta), lu.neta)
 		for i := lu.eHead[pos]; i >= 0; i = lu.eNext[i] {
 			lu.ecand[lu.eOf[i]] = true
 		}
@@ -849,19 +864,13 @@ func (lu *basisLU) btranDenseLT(y []float64) {
 // addEta appends the product-form update for a pivot that replaced basis
 // position r with a column whose ftran image is w.
 func (lu *basisLU) addEta(w []float64, r int) {
+	lu.reserveEta(len(w))
 	for i, wi := range w {
 		if i != r && wi != 0 {
-			lu.eNext = append(lu.eNext, lu.eHead[i])
-			lu.eOf = append(lu.eOf, int32(lu.neta))
-			lu.eHead[i] = int32(len(lu.erow))
-			lu.erow = append(lu.erow, int32(i))
-			lu.eval = append(lu.eval, wi)
+			lu.pushEtaEntry(int32(i), wi)
 		}
 	}
-	lu.estart = append(lu.estart, int32(len(lu.erow)))
-	lu.epos = append(lu.epos, int32(r))
-	lu.ediag = append(lu.ediag, w[r])
-	lu.neta++
+	lu.closeEta(w, r)
 }
 
 // addEtaSparse is addEta over an explicit pattern: only the positions in
@@ -874,15 +883,40 @@ func (lu *basisLU) addEtaSparse(w []float64, wIdx []int32, r int) {
 		lu.addEta(w, r)
 		return
 	}
+	lu.reserveEta(len(wIdx))
 	for _, i := range wIdx {
 		if int(i) != r && w[i] != 0 {
-			lu.eNext = append(lu.eNext, lu.eHead[i])
-			lu.eOf = append(lu.eOf, int32(lu.neta))
-			lu.eHead[i] = int32(len(lu.erow))
-			lu.erow = append(lu.erow, i)
-			lu.eval = append(lu.eval, w[i])
+			lu.pushEtaEntry(i, w[i])
 		}
 	}
+	lu.closeEta(w, r)
+}
+
+// reserveEta makes room for n more eta entries and one more eta, growing
+// the eta file geometrically.
+func (lu *basisLU) reserveEta(n int) {
+	lu.eNext = scratch.Grow(lu.eNext, n)
+	lu.eOf = scratch.Grow(lu.eOf, n)
+	lu.erow = scratch.Grow(lu.erow, n)
+	lu.eval = scratch.Grow(lu.eval, n)
+	lu.estart = scratch.Grow(lu.estart, 1)
+	lu.epos = scratch.Grow(lu.epos, 1)
+	lu.ediag = scratch.Grow(lu.ediag, 1)
+}
+
+// pushEtaEntry appends the off-pivot entry (i, v) to the eta being built
+// and links it into position i's chain.
+func (lu *basisLU) pushEtaEntry(i int32, v float64) {
+	lu.eNext = append(lu.eNext, lu.eHead[i])
+	lu.eOf = append(lu.eOf, int32(lu.neta))
+	lu.eHead[i] = int32(len(lu.erow))
+	lu.erow = append(lu.erow, i)
+	lu.eval = append(lu.eval, v)
+}
+
+// closeEta finishes the eta being built: pivot position r, pivot
+// element w[r].
+func (lu *basisLU) closeEta(w []float64, r int) {
 	lu.estart = append(lu.estart, int32(len(lu.erow)))
 	lu.epos = append(lu.epos, int32(r))
 	lu.ediag = append(lu.ediag, w[r])

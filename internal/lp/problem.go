@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"github.com/smartdpss/smartdpss/internal/scratch"
 )
 
 // Relation is the sense of a linear constraint.
@@ -47,11 +49,12 @@ type variable struct {
 	cost  float64
 }
 
-// constraint is the internal record of one constraint row.
+// constraint is the internal record of one constraint row. Its terms
+// are Problem.terms[lo:hi].
 type constraint struct {
-	terms []Term
-	rel   Relation
-	rhs   float64
+	lo, hi int
+	rel    Relation
+	rhs    float64
 }
 
 // Problem is a mutable linear program under construction. The zero value is
@@ -59,6 +62,7 @@ type constraint struct {
 type Problem struct {
 	vars    []variable
 	cons    []constraint
+	terms   []Term // every row's terms, back to back in row order
 	maxIter int
 	bounded bool
 	sparse  bool
@@ -69,13 +73,13 @@ func NewProblem() *Problem {
 	return &Problem{}
 }
 
-// Reset empties the problem for rebuilding in place, keeping the variable
-// and constraint storage (including each retired row's term buffer) so a
-// problem rebuilt to a similar shape allocates nothing. The iteration
-// budget and bound mode are preserved.
+// Reset empties the problem for rebuilding in place, keeping the variable,
+// constraint and term storage so a problem rebuilt to a similar shape
+// allocates nothing. The iteration budget and bound mode are preserved.
 func (p *Problem) Reset() {
 	p.vars = p.vars[:0]
 	p.cons = p.cons[:0]
+	p.terms = p.terms[:0]
 }
 
 // SetMaxIterations overrides the default simplex iteration budget
@@ -122,27 +126,22 @@ func (p *Problem) Sparse() bool { return p.sparse }
 // math.Inf(-1) and upper may be math.Inf(1). The name appears only in
 // error messages; an empty name prints as x<id>.
 func (p *Problem) AddVariable(name string, lower, upper, cost float64) VarID {
-	p.vars = append(p.vars, variable{name: name, lower: lower, upper: upper, cost: cost})
+	p.vars = append(scratch.Grow(p.vars, 1), variable{name: name, lower: lower, upper: upper, cost: cost})
 	return VarID(len(p.vars) - 1)
 }
 
 // AddConstraint adds the row  Σ terms  rel  rhs.
 // Terms referencing the same variable are summed. The terms slice is
-// copied into problem-owned storage (reused across Reset cycles), so
+// copied into the problem's term arena (reused across Reset cycles), so
 // callers may reuse their build buffer.
 func (p *Problem) AddConstraint(rel Relation, rhs float64, terms ...Term) {
-	if len(p.cons) < cap(p.cons) {
-		// Revive the retired row and reuse its term buffer.
-		p.cons = p.cons[:len(p.cons)+1]
-		c := &p.cons[len(p.cons)-1]
-		c.terms = append(c.terms[:0], terms...)
-		c.rel, c.rhs = rel, rhs
-		return
-	}
-	own := make([]Term, len(terms))
-	copy(own, terms)
-	p.cons = append(p.cons, constraint{terms: own, rel: rel, rhs: rhs})
+	lo := len(p.terms)
+	p.terms = append(scratch.Grow(p.terms, len(terms)), terms...)
+	p.cons = append(scratch.Grow(p.cons, 1), constraint{lo: lo, hi: len(p.terms), rel: rel, rhs: rhs})
 }
+
+// rowTerms returns the terms of constraint c, borrowed from the arena.
+func (p *Problem) rowTerms(c constraint) []Term { return p.terms[c.lo:c.hi] }
 
 // NumVariables reports the number of variables added so far.
 func (p *Problem) NumVariables() int { return len(p.vars) }
@@ -179,7 +178,7 @@ func (p *Problem) validate() error {
 		if !isFinite(c.rhs) {
 			return fmt.Errorf("%w: constraint %d rhs", ErrNotFinite, i)
 		}
-		for _, t := range c.terms {
+		for _, t := range p.rowTerms(c) {
 			if int(t.Var) < 0 || int(t.Var) >= len(p.vars) {
 				return fmt.Errorf("%w: constraint %d references %d", ErrBadTerm, i, t.Var)
 			}

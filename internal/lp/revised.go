@@ -184,13 +184,15 @@ func (rs *revised) build(sf *standardForm) {
 	// aborted solve (dense fallback mid-pivot) may have left dirty.
 	rs.rotor = 0
 	rs.w = scratch.Zeroed(rs.w, m)
-	rs.wIdx = rs.wIdx[:0]
+	// The pattern lists hold distinct positions (columns for alphaIdx),
+	// so one reservation covers every pivot.
+	rs.wIdx = scratch.Grow(rs.wIdx[:0], m)
 	rs.wSparse = false
 	rs.rho = scratch.Zeroed(rs.rho, m)
-	rs.rhoIdx = rs.rhoIdx[:0]
+	rs.rhoIdx = scratch.Grow(rs.rhoIdx[:0], m)
 	rs.rhoSparse = false
 	rs.alpha = scratch.Zeroed(rs.alpha, n)
-	rs.alphaIdx = rs.alphaIdx[:0]
+	rs.alphaIdx = scratch.Grow(rs.alphaIdx[:0], n)
 	rs.amark = scratch.Zeroed(rs.amark, n)
 	rs.d = scratch.For(rs.d, n)
 	rs.gamma = scratch.For(rs.gamma, n)
@@ -223,7 +225,7 @@ func (rs *revised) crash(sf *standardForm) {
 		}
 		rs.colMax[j] = cm
 	}
-	rs.queue = rs.queue[:0]
+	rs.queue = scratch.Grow(rs.queue[:0], n) // each column queues at most once
 	for j := 0; j < n; j++ {
 		if rs.colCnt[j] == 1 {
 			rs.queue = append(rs.queue, int32(j))

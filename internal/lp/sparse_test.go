@@ -106,50 +106,79 @@ func genStaircaseLP(r *rand.Rand) staircaseLP {
 	return g
 }
 
-// build emits the staircase LP: serve u_i and charge c_i draw on supply,
-// discharge d_i serves from the battery, B_i and U_i are the state
-// chains, and the deadline forces cumulative service by dueSlot.
+// build emits the staircase LP into a fresh problem.
 func (g staircaseLP) build() *Problem {
 	p := NewProblem()
+	g.buildInto(p)
+	return p
+}
+
+// buildInto emits the staircase LP into p (which the caller has reset):
+// serve u_i and charge c_i draw on supply, discharge d_i serves from the
+// battery, B_i and U_i are the state chains, and the deadline forces
+// cumulative service by dueSlot. Variables are added five per slot in
+// the order u, c, d, B, U, so their IDs follow from the slot index and
+// the build allocates nothing of its own.
+func (g staircaseLP) buildInto(p *Problem) {
 	h := g.h
-	u := make([]VarID, h)
-	c := make([]VarID, h)
-	d := make([]VarID, h)
-	bs := make([]VarID, h)
-	us := make([]VarID, h)
+	u := func(i int) VarID { return VarID(5 * i) }
+	c := func(i int) VarID { return VarID(5*i + 1) }
+	d := func(i int) VarID { return VarID(5*i + 2) }
+	bs := func(i int) VarID { return VarID(5*i + 3) }
+	us := func(i int) VarID { return VarID(5*i + 4) }
 	for i := 0; i < h; i++ {
-		u[i] = p.AddVariable("u", 0, g.supply[i], g.uCost[i])
+		p.AddVariable("u", 0, g.supply[i], g.uCost[i])
 		lo, hi := 0.0, g.supply[i]
 		if i == g.fixC {
 			lo, hi = g.fixVal, g.fixVal
 		}
-		c[i] = p.AddVariable("c", lo, hi, g.sCost[i])
-		d[i] = p.AddVariable("d", 0, g.bCap, q4(g.sCost[i]/2))
-		bs[i] = p.AddVariable("B", 0, g.bCap, 0)
-		us[i] = p.AddVariable("U", 0, math.Inf(1), 0)
+		p.AddVariable("c", lo, hi, g.sCost[i])
+		p.AddVariable("d", 0, g.bCap, q4(g.sCost[i]/2))
+		p.AddVariable("B", 0, g.bCap, 0)
+		p.AddVariable("U", 0, math.Inf(1), 0)
 	}
 	for i := 0; i < h; i++ {
 		// Battery chain: B_i − B_{i−1} − ηc·c_i + ηd·d_i = [b0 at i=0].
 		if i == 0 {
-			p.AddConstraint(EQ, g.b0, Term{bs[0], 1}, Term{c[0], -g.etaC}, Term{d[0], g.etaD})
+			p.AddConstraint(EQ, g.b0, Term{bs(0), 1}, Term{c(0), -g.etaC}, Term{d(0), g.etaD})
 		} else {
-			p.AddConstraint(EQ, 0, Term{bs[i], 1}, Term{bs[i-1], -1}, Term{c[i], -g.etaC}, Term{d[i], g.etaD})
+			p.AddConstraint(EQ, 0, Term{bs(i), 1}, Term{bs(i - 1), -1}, Term{c(i), -g.etaC}, Term{d(i), g.etaD})
 		}
 		// Served chain: U_i − U_{i−1} − u_i − d_i = 0.
 		if i == 0 {
-			p.AddConstraint(EQ, 0, Term{us[0], 1}, Term{u[0], -1}, Term{d[0], -1})
+			p.AddConstraint(EQ, 0, Term{us(0), 1}, Term{u(0), -1}, Term{d(0), -1})
 		} else {
-			p.AddConstraint(EQ, 0, Term{us[i], 1}, Term{us[i-1], -1}, Term{u[i], -1}, Term{d[i], -1})
+			p.AddConstraint(EQ, 0, Term{us(i), 1}, Term{us(i - 1), -1}, Term{u(i), -1}, Term{d(i), -1})
 		}
 		// Shared supply: u_i + c_i ≤ s_i.
-		p.AddConstraint(LE, g.supply[i], Term{u[i], 1}, Term{c[i], 1})
+		p.AddConstraint(LE, g.supply[i], Term{u(i), 1}, Term{c(i), 1})
 	}
-	p.AddConstraint(GE, g.demand, Term{us[g.dueSlot], 1})
+	p.AddConstraint(GE, g.demand, Term{us(g.dueSlot), 1})
 	if g.unbVar {
-		v := p.AddVariable("ray", 0, math.Inf(1), -1)
-		_ = v
+		p.AddVariable("ray", 0, math.Inf(1), -1)
 	}
-	return p
+}
+
+// stretch redraws g as a feasible, bounded staircase LP of h slots: no
+// fixed or unbounded variables, the deadline at the last slot and the
+// demand at 80% of what supply and the initial charge can serve.
+func (g staircaseLP) stretch(r *rand.Rand, h int) staircaseLP {
+	g.h = h
+	g.supply = make([]float64, h)
+	g.sCost = make([]float64, h)
+	g.uCost = make([]float64, h)
+	total := 0.0
+	for j := 0; j < h; j++ {
+		g.supply[j] = q4(r.Float64() * 3)
+		g.sCost[j] = q4(r.Float64() * 4)
+		g.uCost[j] = q4(r.Float64()*2 - 0.5)
+		total += g.supply[j]
+	}
+	g.dueSlot = h - 1
+	g.fixC = -1
+	g.unbVar = false
+	g.demand = q4(0.8 * (total + g.b0))
+	return g
 }
 
 // TestSparseParityStaircase is the core equivalence gate of the revised
@@ -239,22 +268,7 @@ func TestSparseRefactorizationPath(t *testing.T) {
 	r := rand.New(rand.NewSource(31337))
 	hit := false
 	for i := 0; i < 40 && !hit; i++ {
-		g := genStaircaseLP(r)
-		g.h = 40 + r.Intn(20)
-		g.supply = make([]float64, g.h)
-		g.sCost = make([]float64, g.h)
-		g.uCost = make([]float64, g.h)
-		total := 0.0
-		for j := 0; j < g.h; j++ {
-			g.supply[j] = q4(r.Float64() * 3)
-			g.sCost[j] = q4(r.Float64() * 4)
-			g.uCost[j] = q4(r.Float64()*2 - 0.5)
-			total += g.supply[j]
-		}
-		g.dueSlot = g.h - 1
-		g.fixC = -1
-		g.unbVar = false
-		g.demand = q4(0.8 * (total + g.b0))
+		g := genStaircaseLP(r).stretch(r, 40+r.Intn(20))
 		p := g.build()
 		p.SetBounded(true)
 		p.SetSparse(true)

@@ -182,7 +182,7 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 	// Constraint rows.
 	for ci, c := range p.cons {
 		row := sfRow{coeffs: rowCoeffs(ci), rel: c.rel, rhs: c.rhs}
-		for _, t := range c.terms {
+		for _, t := range p.rowTerms(c) {
 			s := sf.subs[t.Var]
 			row.rhs -= t.Coeff * s.base
 			if s.col < 0 {
@@ -222,8 +222,18 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 func (p *Problem) buildSparseRows(sf *standardForm) {
 	nrows := len(sf.rows)
 	sf.rowStart = scratch.For(sf.rowStart, nrows+1)
-	sf.rcol = sf.rcol[:0]
-	sf.rval = sf.rval[:0]
+	// Reserve every entry up front: one per term (two while a free
+	// variable is split into y⁺ − y⁻) plus one per upper-bound row.
+	perTerm := 1
+	for _, r := range sf.recover {
+		if r.kind == recSplit {
+			perTerm = 2
+			break
+		}
+	}
+	nnz := perTerm*len(p.terms) + nrows - len(p.cons)
+	sf.rcol = scratch.Grow(sf.rcol[:0], nnz)
+	sf.rval = scratch.Grow(sf.rval[:0], nnz)
 	sf.stamp = scratch.Zeroed(sf.stamp, sf.ncols)
 	sf.spos = scratch.For(sf.spos, sf.ncols)
 
@@ -242,7 +252,7 @@ func (p *Problem) buildSparseRows(sf *standardForm) {
 	for ci, c := range p.cons {
 		sf.rowStart[ci] = int32(len(sf.rcol))
 		rhs := c.rhs
-		for _, t := range c.terms {
+		for _, t := range p.rowTerms(c) {
 			s := sf.subs[t.Var]
 			rhs -= t.Coeff * s.base
 			if s.col < 0 {

@@ -8,7 +8,7 @@
 // two-state Markov weather chain with AR(1) cloud attenuation. The
 // substitute reproduces the trace properties SmartDPSS is sensitive to —
 // strict day/night intermittency, short winter days, day-to-day variability
-// and hour-scale autocorrelation — as documented in DESIGN.md.
+// and hour-scale autocorrelation.
 //
 // The package owns the irradiance model and its weather chain.
 // internal/engine is its sole consumer: trace generation scales the

@@ -7,16 +7,16 @@ import (
 	"sync/atomic"
 )
 
-// poolWidth resolves the configured worker-pool width.
+// poolWidth resolves the configured worker-pool width: 0 means
+// GOMAXPROCS, and a negative width means sequential.
 func (c Config) poolWidth() int {
-	w := c.Parallel
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	switch {
+	case c.Parallel < 0:
+		return 1
+	case c.Parallel == 0:
+		return runtime.GOMAXPROCS(0)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return c.Parallel
 }
 
 // newTokens builds the shared spawn budget: poolWidth−1 tokens, since

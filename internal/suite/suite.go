@@ -48,10 +48,11 @@ type Config struct {
 	SkipOffline bool
 	// Seeds is the seed count for multi-seed scenarios (0 means 5).
 	Seeds int
-	// Parallel bounds the worker pool (0 means GOMAXPROCS). The bound
-	// is global per run: scenario-level fan-out and the scenarios'
-	// inner sweeps draw from one shared budget. Results are identical
-	// at every level; only wall-clock changes.
+	// Parallel bounds the worker pool (0 means GOMAXPROCS; a negative
+	// width means sequential, like 1). The bound is global per run:
+	// scenario-level fan-out and the scenarios' inner sweeps draw from
+	// one shared budget. Results are identical at every level; only
+	// wall-clock changes.
 	Parallel int
 
 	// tokens is the run's shared worker budget, installed by Run (nil
