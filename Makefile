@@ -3,18 +3,28 @@
 
 GO ?= go
 
-# The perf-trajectory benchmark set (see BENCH_12.json and README
-# "Performance"). BenchmarkAblationOfflineHorizonLP (unanchored) matches
-# both the sparse default and its Dense reference variant, so cmd/perf
-# can gate their same-run speedup ratio; BenchmarkGeoStep carries the
-# geo fan-out's allocs/op gate at every fleet size, and BenchmarkGeoLP
-# the sparse LP's storage contract (a week of the geo-div ±30% point).
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkGeoLP$$|BenchmarkTuneEvaluate
+# The perf-trajectory benchmark set (see PERF_FILE and README
+# "Performance"), shared by `make perf` and the CI gate (`make
+# perf-check`), so adding a benchmark is one edit here.
+# BenchmarkAblationOfflineHorizonLP (unanchored) matches both the sparse
+# default and its Dense reference variant, so cmd/perf can gate their
+# same-run speedup ratio; BenchmarkGeoStep carries the geo fan-out's
+# allocs/op gate at every fleet size, BenchmarkGeoLP the sparse LP's
+# storage contract (a week of the geo-div ±30% point), and
+# BenchmarkSessionSnapshot the one-allocation checkpoint encoder.
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkGeoLP$$|BenchmarkTuneEvaluate|BenchmarkSessionSnapshot$$
+
+# The committed trajectory file the perf targets write and gate against.
+PERF_FILE = BENCH_13.json
+
+# Provenance note perf-check stores in bench-run.json (CI passes the
+# commit).
+PERF_NOTE ?= make perf-check
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
 
-.PHONY: build test race bench fuzz lint lint-docs docs suite golden cover perf serve-smoke tune-smoke
+.PHONY: build test race bench fuzz lint lint-docs docs suite golden cover perf perf-bench perf-check serve-smoke tune-smoke
 
 build:
 	$(GO) build ./...
@@ -32,11 +42,17 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -short -timeout 15m -run '^$$' .
 
-# Dense-vs-sparse LP parity fuzzing (FuzzSparseSolveParity): random
-# staircase LPs, dense tableau and sparse revised simplex must agree on
-# status and objective. Override the budget with FUZZTIME=5m.
+# Fuzz smoke, one target after another (go test fuzzes one target per
+# run), FUZZTIME each: dense-vs-sparse LP parity (FuzzSparseSolveParity:
+# random staircase LPs, both solver paths must agree on status and
+# objective), the cross-policy physics invariants over random scenarios
+# (FuzzPolicyInvariants), and checkpoint restore (FuzzRestore: mutated,
+# truncated or version-skewed checkpoints must fail typed, never panic
+# or half-restore). Override the budget with FUZZTIME=5m.
 fuzz:
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzSparseSolveParity -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzPolicyInvariants -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME)
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -86,18 +102,27 @@ tune-smoke:
 serve-smoke:
 	./scripts/serve-smoke.sh
 
-# Regenerate the committed benchmark trajectory file: runs the key hot-path
-# benchmarks with -benchmem and rewrites BENCH_12.json's "current" block
-# (its "baseline" block — the sparse LP before its storage contract — is
-# carried over unchanged; older trajectories survive in
-# BENCH_10/9/8/7/5/4.json). The
+# Run the perf-trajectory benchmarks with -benchmem into bench.out. The
 # year-long annual LP joins at one iteration: ~10 s per solve on the
 # hyper-sparse kernels, and cmd/perf gates it against a 20 s wall-clock
-# budget on the CI -check path. The bench output goes through a file, not
-# a pipe, so a failing benchmark run fails the target instead of being
-# masked by the parser's exit status.
-perf:
+# budget on the -check path. The output goes to a file, not a pipe, so a
+# failing benchmark run fails the target instead of being masked by the
+# parser's exit status.
+perf-bench:
 	$(GO) test -bench='$(PERF_BENCHES)' -benchmem -benchtime=20x -run '^$$' . > bench.out
-	$(GO) test -bench=BenchmarkAblationOfflineAnnualLP -benchmem -benchtime=1x -run '^$$' . >> bench.out
-	$(GO) run ./cmd/perf -out BENCH_12.json -note "make perf" < bench.out
+	$(GO) test -bench=BenchmarkAblationOfflineAnnualLP -benchmem -benchtime=1x -timeout 20m -run '^$$' . >> bench.out
+
+# Regenerate the committed benchmark trajectory file: rewrites
+# PERF_FILE's "current" block (its "baseline" block — the commit before
+# the session-owned checkpoint encoder — is carried over unchanged;
+# older trajectories survive in BENCH_12/10/9/8/7/5/4.json).
+perf: perf-bench
+	$(GO) run ./cmd/perf -out $(PERF_FILE) -note "make perf" < bench.out
 	@rm -f bench.out
+
+# The CI perf gate: fail if a gated benchmark regresses in allocs/op
+# versus PERF_FILE or is missing from the run or the file, if the sparse
+# horizon LP stops beating its dense reference, or if the annual LP
+# blows its wall budget; the fresh numbers land in bench-run.json.
+perf-check: perf-bench
+	$(GO) run ./cmd/perf -check $(PERF_FILE) -out bench-run.json -note "$(PERF_NOTE)" < bench.out

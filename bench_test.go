@@ -231,6 +231,45 @@ func BenchmarkFleetDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionSnapshot measures one checkpoint of a serve-style
+// session: SmartDPSS with a two-unit fleet under a 6-slot commitment
+// window, mid-way through a month. This is the call a checkpointing
+// daemon makes every simulated day. The first Snapshot runs outside the
+// timer, so the loop sees the steady state, where the checkpoint is
+// encoded in session-owned storage and allocs/op counts only the
+// returned slice. cmd/perf gates the count.
+func BenchmarkSessionSnapshot(b *testing.B) {
+	traces, err := dpss.GenerateTraces(dpss.DefaultTraceConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := dpss.DefaultOptions()
+	opts.CommitWindow = 6
+	opts.Fleet = []dpss.UnitSpec{
+		{CapacityMW: 0.5, MinLoadFrac: 0.2, FuelUSDPerMWh: 39, StartupUSD: 10},
+		{CapacityMW: 0.5, MinLoadFrac: 0.2, FuelUSDPerMWh: 43, StartupUSD: 10},
+	}
+	sess, err := dpss.NewReplaySession(dpss.PolicySmartDPSS, opts, traces)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for sess.Slot() < sess.Horizon()/2 {
+		if _, err := sess.StepReplay(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := sess.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchGeoSites builds an n-site fleet matching the geo scenario
 // family's shape: site 0 at the default scope, later sites on derived
 // seeds with a ±30% price spread.

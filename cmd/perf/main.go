@@ -16,7 +16,7 @@
 // With -check FILE the parsed results are additionally compared against
 // FILE's "current" block: the run fails (exit 1) when the allocation
 // count of any gated benchmark regresses beyond the tolerance, or when a
-// gated benchmark is missing from the run.
+// gated benchmark is missing from the run or from FILE.
 // Allocations per op are deterministic — unlike ns/op they do not
 // depend on CI machine load — which makes them the right regression
 // signal for an allocation-free hot path. Two further gate families run
@@ -80,6 +80,10 @@ var gated = map[string]float64{
 	// for its whole budget, so a per-evaluation allocation regression
 	// multiplies across every tuning run.
 	"BenchmarkTuneEvaluate": 1.10,
+	// One checkpoint of a mid-horizon fleet session: encoded in
+	// session-owned storage, it allocates only the returned slice, so
+	// any per-call boxing or marshalling copy shows up as a regression.
+	"BenchmarkSessionSnapshot": 1.10,
 	// The geo-div point's coupled routing+supply LP on the sparse
 	// revised simplex: geometric factor/eta/model growth and the flat
 	// term arena hold it to a few hundred allocations, where per-row
@@ -212,7 +216,9 @@ func load(path string) (*File, error) {
 }
 
 // gate compares fresh allocs/op against the committed current block,
-// reporting each passed gate to w.
+// reporting each passed gate to w. Every gated benchmark must be present
+// on both sides: a gate without its committed reference fails instead
+// of passing silently.
 func gate(fresh map[string]Result, committed *File, w io.Writer) error {
 	if committed.Current == nil {
 		return fmt.Errorf("committed file has no current block")
@@ -220,7 +226,7 @@ func gate(fresh map[string]Result, committed *File, w io.Writer) error {
 	for name, slack := range gated {
 		want, ok := committed.Current.Benchmarks[name]
 		if !ok {
-			continue // benchmark not tracked yet
+			return fmt.Errorf("gated benchmark %s missing from the committed file; record it with make perf", name)
 		}
 		got, ok := fresh[name]
 		if !ok {

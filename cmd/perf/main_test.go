@@ -90,9 +90,22 @@ func TestGateAllocs(t *testing.T) {
 			wantErr: "BenchmarkGeoLP missing",
 		},
 		{
+			// A gate without its committed reference fails rather
+			// than passing unchecked.
 			name:  "untracked in the committed file",
-			fresh: map[string]Result{},
-			file:  &File{Current: &Block{Benchmarks: map[string]Result{}}},
+			fresh: allocResults(100),
+			file: &File{Current: &Block{Benchmarks: func() map[string]Result {
+				r := allocResults(100)
+				delete(r, "BenchmarkSessionSnapshot")
+				return r
+			}()}},
+			wantErr: "BenchmarkSessionSnapshot missing from the committed file",
+		},
+		{
+			name:    "empty committed file",
+			fresh:   allocResults(100),
+			file:    &File{Current: &Block{Benchmarks: map[string]Result{}}},
+			wantErr: "missing from the committed file",
 		},
 		{name: "no current block", fresh: allocResults(100), file: &File{}, wantErr: "no current block"},
 	}

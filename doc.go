@@ -114,7 +114,10 @@
 // checkpoints — produces a Report byte-identical to batch Simulate over
 // the same inputs. Checkpoints embed a configuration digest, so Restore
 // refuses state from a differently configured run (ErrSnapshotMismatch)
-// instead of resuming one run's state under another run's physics; all
+// instead of resuming one run's state under another run's physics, and
+// rejects malformed bytes (ErrCorruptCheckpoint) without touching the
+// session. After its first call Snapshot allocates only the slice it
+// returns; AppendSnapshot encodes into a caller-reused buffer. All
 // construction-time failures are branchable via errors.Is with
 // ErrInvalidOptions and friends, and field-level causes via errors.As
 // with *ValidationError.

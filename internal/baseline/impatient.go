@@ -17,8 +17,9 @@ import (
 // deficits only when the grid cannot (last resort), which is how an inline
 // UPS behaves in the absence of a control policy.
 type Impatient struct {
-	cfg Config
-	est sim.TrailingMeans
+	cfg  Config
+	est  sim.TrailingMeans
+	snap *estimatorScratch // nil until the first AppendState
 }
 
 var _ sim.Controller = (*Impatient)(nil)
@@ -87,26 +88,48 @@ func (i *Impatient) RecordOutcome(sim.Outcome) {}
 
 var _ sim.Snapshotter = (*Impatient)(nil)
 
-// impatientState is the policy's checkpoint form: only the trailing-mean
-// estimator survives across slots (Config is pinned by the session
-// checkpoint's config hash).
-type impatientState struct {
+// estimatorState is the checkpoint form of Impatient and Lyapunov: their
+// configuration (and Lyapunov's V and θ) is pinned by the session
+// checkpoint's config hash, so only the trailing-mean estimator survives
+// across slots.
+type estimatorState struct {
 	Est sim.TrailingMeansState `json:"est"`
 }
 
-// SnapshotState implements sim.Snapshotter.
-func (i *Impatient) SnapshotState() ([]byte, error) {
-	return json.Marshal(impatientState{Est: i.est.State()})
+// estimatorScratch is the policies' checkpoint-encoding storage,
+// allocated by the first AppendState.
+type estimatorScratch struct {
+	state estimatorState
+	enc   sim.StateEncoder
+}
+
+func (s *estimatorScratch) append(dst []byte, est *sim.TrailingMeans) ([]byte, error) {
+	s.state.Est = est.State()
+	return s.enc.Append(dst, &s.state)
+}
+
+// restoreEstimator decodes an estimatorState blob into est, leaving est
+// untouched when the blob does not decode.
+func restoreEstimator(est *sim.TrailingMeans, data []byte, policy string) error {
+	var s estimatorState
+	if err := json.Unmarshal(data, &s); err != nil {
+		return fmt.Errorf("baseline: decode %s state: %w", policy, err)
+	}
+	est.Restore(s.Est)
+	return nil
+}
+
+// AppendState implements sim.Snapshotter.
+func (i *Impatient) AppendState(dst []byte) ([]byte, error) {
+	if i.snap == nil {
+		i.snap = new(estimatorScratch)
+	}
+	return i.snap.append(dst, &i.est)
 }
 
 // RestoreState implements sim.Snapshotter.
 func (i *Impatient) RestoreState(data []byte) error {
-	var s impatientState
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("baseline: decode impatient state: %w", err)
-	}
-	i.est.Restore(s.Est)
-	return nil
+	return restoreEstimator(&i.est, data, "impatient")
 }
 
 func clamp(x, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, x)) }

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -31,6 +30,7 @@ type Lyapunov struct {
 	v     float64
 	theta float64
 	est   sim.TrailingMeans
+	snap  *estimatorScratch // nil until the first AppendState
 }
 
 var _ sim.Controller = (*Lyapunov)(nil)
@@ -158,23 +158,16 @@ func (l *Lyapunov) RecordOutcome(sim.Outcome) {}
 
 var _ sim.Snapshotter = (*Lyapunov)(nil)
 
-// lyapunovState is the checkpoint form: V and θ are pinned by the
-// session checkpoint's config hash, so only the estimator survives.
-type lyapunovState struct {
-	Est sim.TrailingMeansState `json:"est"`
-}
-
-// SnapshotState implements sim.Snapshotter.
-func (l *Lyapunov) SnapshotState() ([]byte, error) {
-	return json.Marshal(lyapunovState{Est: l.est.State()})
+// AppendState implements sim.Snapshotter (the estimatorState form
+// shared with Impatient).
+func (l *Lyapunov) AppendState(dst []byte) ([]byte, error) {
+	if l.snap == nil {
+		l.snap = new(estimatorScratch)
+	}
+	return l.snap.append(dst, &l.est)
 }
 
 // RestoreState implements sim.Snapshotter.
 func (l *Lyapunov) RestoreState(data []byte) error {
-	var s lyapunovState
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("baseline: decode lyapunov state: %w", err)
-	}
-	l.est.Restore(s.Est)
-	return nil
+	return restoreEstimator(&l.est, data, "lyapunov")
 }

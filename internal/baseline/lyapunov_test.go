@@ -227,7 +227,7 @@ func TestLyapunovSnapshotRoundTrip(t *testing.T) {
 			Battery: 0.5, SdtMax: 1.0,
 		})
 	}
-	blob, err := l.SnapshotState()
+	blob, err := l.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +239,16 @@ func TestLyapunovSnapshotRoundTrip(t *testing.T) {
 	if got, want := restored.PlanCoarse(obs), l.PlanCoarse(obs); got != want {
 		t.Errorf("restored PlanCoarse = %g, original = %g", got, want)
 	}
+	before, err := restored.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := restored.RestoreState([]byte("not json")); err == nil {
 		t.Error("garbage state accepted")
+	}
+	// A rejected blob leaves the estimator as it was.
+	if after, err := restored.AppendState(nil); err != nil || string(after) != string(before) {
+		t.Errorf("state after a rejected restore = %s (%v), want %s", after, err, before)
 	}
 }
 

@@ -51,6 +51,10 @@ type Controller struct {
 	// solvers and the fleet planner need is owned here and reused across
 	// fine slots, so steady-state planning allocates nothing.
 	scr slotScratch
+
+	// snap is the checkpoint-encoding storage (see AppendState); nil
+	// until the first snapshot, so batch runs never allocate it.
+	snap *stateScratch
 }
 
 // slotScratch is the Controller's reusable slot-loop storage. Buffers

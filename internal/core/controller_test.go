@@ -200,6 +200,11 @@ func TestEndToEndSimulation(t *testing.T) {
 	if rep.Slots != 7*24 {
 		t.Fatalf("slots = %d, want %d", rep.Slots, 7*24)
 	}
+	// A batch run never checkpoints, so it never pays for the
+	// checkpoint-encoding storage.
+	if ctrl.snap != nil {
+		t.Error("batch run allocated the controller's snapshot scratch")
+	}
 	if rep.TotalCostUSD <= 0 {
 		t.Error("total cost must be positive")
 	}
@@ -294,5 +299,42 @@ func TestHigherVReducesCostRaisesDelay(t *testing.T) {
 	if high.MeanDelaySlots <= low.MeanDelaySlots {
 		t.Errorf("V=5 delay %.2f not above V=0.05 delay %.2f (O(V) side)",
 			high.MeanDelaySlots, low.MeanDelaySlots)
+	}
+}
+
+// TestControllerStateRestore: the checkpoint blob round-trips, and a
+// blob that does not decode or carries a negative frozen queue is
+// rejected without touching the controller (a negative Q+Y would let
+// P5's uncapped emergency and waste legs pair up forever).
+func TestControllerStateRestore(t *testing.T) {
+	p := DefaultParams()
+	ctrl, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(simConfig(p), testTraces(t, 2), ctrl); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ctrl.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fresh.AppendState(nil); err != nil || string(got) != string(blob) {
+		t.Fatalf("restored state %s (%v), want %s", got, err, blob)
+	}
+	for _, bad := range []string{`not json`, `{"qT":-1}`, `{"yT":-0.5}`} {
+		if err := fresh.RestoreState([]byte(bad)); err == nil {
+			t.Errorf("RestoreState(%s) accepted", bad)
+		}
+		if got, _ := fresh.AppendState(nil); string(got) != string(blob) {
+			t.Errorf("rejected RestoreState(%s) changed the controller", bad)
+		}
 	}
 }

@@ -36,11 +36,21 @@ type controllerState struct {
 
 var _ sim.Snapshotter = (*Controller)(nil)
 
-// SnapshotState implements sim.Snapshotter: it captures everything the
+// stateScratch is the controller's checkpoint-encoding storage,
+// allocated by the first AppendState.
+type stateScratch struct {
+	state controllerState
+	enc   sim.StateEncoder
+}
+
+// AppendState implements sim.Snapshotter: it captures everything the
 // controller carries across fine slots, so a restored controller plans
 // bit-identically to one that never stopped.
-func (c *Controller) SnapshotState() ([]byte, error) {
-	return json.Marshal(controllerState{
+func (c *Controller) AppendState(dst []byte) ([]byte, error) {
+	if c.snap == nil {
+		c.snap = new(stateScratch)
+	}
+	c.snap.state = controllerState{
 		QT:         c.qT,
 		YT:         c.yT,
 		XT:         c.xT,
@@ -54,14 +64,24 @@ func (c *Controller) SnapshotState() ([]byte, error) {
 		EnvDDT:     c.envDDT,
 		EnvRen:     c.envRen,
 		LPFailures: c.lpFailures,
-	})
+	}
+	return c.snap.enc.Append(dst, &c.snap.state)
 }
 
-// RestoreState implements sim.Snapshotter.
+// RestoreState implements sim.Snapshotter. The blob is decoded and
+// checked in full before any field is assigned, so a rejected one leaves
+// the controller untouched.
 func (c *Controller) RestoreState(data []byte) error {
 	var s controllerState
 	if err := json.Unmarshal(data, &s); err != nil {
 		return fmt.Errorf("core: decode controller state: %w", err)
+	}
+	// The frozen backlog Q and delay queue Y are never negative in a run.
+	// P5 relies on it: with Q+Y below −V·(waste + emergency cost) its
+	// two uncapped legs, emergency supply and waste, would form a
+	// profitable pair of infinite room and the solve would never end.
+	if s.QT < 0 || s.YT < 0 {
+		return fmt.Errorf("core: controller state has negative queues Q=%g Y=%g", s.QT, s.YT)
 	}
 	c.qT, c.yT, c.xT = s.QT, s.YT, s.XT
 	c.delay.Restore(s.DelayY)

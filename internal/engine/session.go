@@ -29,6 +29,10 @@ var (
 	// length or checkpoint version).
 	ErrSnapshotMismatch = sim.ErrSnapshotMismatch
 
+	// ErrCorruptCheckpoint aliases the sim sentinel: a checkpoint that
+	// does not decode or whose component states fail validation.
+	ErrCorruptCheckpoint = sim.ErrCorruptCheckpoint
+
 	// ErrSnapshotUnsupported aliases the sim sentinel: the policy cannot
 	// be checkpointed (the offline benchmarks precompute their plans).
 	ErrSnapshotUnsupported = sim.ErrSnapshotUnsupported
@@ -243,14 +247,23 @@ func (s *Session) StepReplay() (SlotOutcome, error) {
 func (s *Session) Finish() (*Report, error) { return s.inner.Finish() }
 
 // Snapshot captures the full session state as a self-describing JSON
-// checkpoint (see sim.Checkpoint for the format). Valid only between
-// slots; the policy must support snapshots (ErrSnapshotUnsupported
-// otherwise — the offline benchmarks do not).
+// checkpoint (see sim.Checkpoint for the format) in a fresh slice the
+// caller owns. Valid only between slots; the policy must support
+// snapshots (ErrSnapshotUnsupported otherwise — the offline benchmarks
+// do not). After the first call it makes exactly one allocation, the
+// returned slice.
 func (s *Session) Snapshot() ([]byte, error) { return s.inner.Snapshot() }
+
+// AppendSnapshot appends the checkpoint Snapshot returns to dst and
+// returns the extended slice. The checkpoint is built in session-owned
+// storage allocated by the first call, so a caller that checkpoints
+// periodically into one reused buffer allocates nothing at steady state.
+func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) { return s.inner.AppendSnapshot(dst) }
 
 // Restore reinstates a checkpoint onto this session. The session must be
 // configured identically to the snapshotting one — same policy, options,
 // horizon and slot length, enforced via the embedded configuration hash
 // (ErrSnapshotMismatch otherwise). Execution resumes bit-for-bit at the
-// checkpoint's slot.
+// checkpoint's slot. Bytes that are not a well-formed checkpoint fail
+// with ErrCorruptCheckpoint; on any error the session is unchanged.
 func (s *Session) Restore(data []byte) error { return s.inner.Restore(data) }

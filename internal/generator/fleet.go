@@ -196,17 +196,15 @@ func (f *Fleet) SplitTotal(total float64) []float64 {
 	return reqs
 }
 
-// State captures every unit's mutable state in fleet order for a
-// checkpoint (nil for an empty fleet).
-func (f *Fleet) State() []State {
-	if len(f.units) == 0 {
-		return nil
+// AppendState captures every unit's mutable state for a checkpoint,
+// appending them to dst in fleet order (nothing for an empty fleet).
+// Passing a reused slice truncated to zero length keeps a periodic
+// checkpoint allocation-free.
+func (f *Fleet) AppendState(dst []State) []State {
+	for _, u := range f.units {
+		dst = append(dst, u.State())
 	}
-	states := make([]State, len(f.units))
-	for i, u := range f.units {
-		states[i] = u.State()
-	}
-	return states
+	return dst
 }
 
 // Restore overwrites every unit's mutable state from a checkpoint. The

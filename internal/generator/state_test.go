@@ -97,9 +97,17 @@ func TestFleetStateRoundTrip(t *testing.T) {
 		ref.Tick()
 		ref.Dispatch(ref.SplitTotal(1.2), 1.0)
 	}
-	states := ref.State()
-	if len(states) != ref.Size() {
-		t.Fatalf("State() returned %d entries, fleet has %d units", len(states), ref.Size())
+	// AppendState appends after whatever dst already holds.
+	prefix := []State{{Starts: -1}}
+	states := ref.AppendState(prefix)
+	if len(states) != 1+ref.Size() || states[0] != prefix[0] {
+		t.Fatalf("AppendState() returned %d entries, want the prefix plus %d units", len(states), ref.Size())
+	}
+	states = states[1:]
+	// Appending into enough capacity reuses it.
+	buf := make([]State, 0, ref.Size())
+	if allocs := testing.AllocsPerRun(10, func() { buf = ref.AppendState(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendState into a sized buffer: %v allocs, want 0", allocs)
 	}
 
 	fresh := mk()
@@ -123,7 +131,7 @@ func TestFleetStateEmptyAndMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.State() != nil {
+	if empty.AppendState(nil) != nil {
 		t.Fatal("empty fleet must snapshot to nil")
 	}
 	if err := empty.Restore(nil); err != nil {
@@ -138,7 +146,7 @@ func TestFleetStateEmptyAndMismatch(t *testing.T) {
 		t.Fatal("unit-count mismatch accepted")
 	}
 	// A corrupt per-unit state surfaces the unit index.
-	states := f.State()
+	states := f.AppendState(nil)
 	states[1].OutputMWh = -1
 	if err := f.Restore(states); err == nil || !strings.Contains(err.Error(), "unit 1") {
 		t.Fatalf("corrupt unit state: Restore() = %v, want unit 1 error", err)

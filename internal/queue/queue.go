@@ -12,6 +12,7 @@ package queue
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -119,28 +120,39 @@ type BacklogState struct {
 	MaxDelay      int           `json:"maxDelay"`
 }
 
-// State captures the backlog for a checkpoint.
-func (q *Backlog) State() BacklogState {
-	s := BacklogState{
+// AppendState captures the backlog for a checkpoint, appending the live
+// cohorts to cohorts and returning the state that carries them. Passing
+// a reused slice truncated to zero length keeps a periodic checkpoint
+// allocation-free; an empty backlog yields no cohorts.
+func (q *Backlog) AppendState(cohorts []CohortState) BacklogState {
+	for _, c := range q.cohorts[q.head:] {
+		cohorts = append(cohorts, CohortState{ArrivalSlot: c.arrivalSlot, RemainingMWh: c.remaining})
+	}
+	return BacklogState{
+		Cohorts:       cohorts,
 		TotalMWh:      q.total,
 		ServedMWh:     q.servedMWh,
 		DelayWeighted: q.delayWeighted,
 		MaxDelay:      q.maxDelay,
 	}
-	if live := q.cohorts[q.head:]; len(live) > 0 {
-		s.Cohorts = make([]CohortState, len(live))
-		for i, c := range live {
-			s.Cohorts[i] = CohortState{ArrivalSlot: c.arrivalSlot, RemainingMWh: c.remaining}
-		}
-	}
-	return s
 }
 
 // Restore overwrites the backlog from a checkpoint. The total is restored
 // verbatim (it is maintained incrementally during a run, so recomputing
 // it from the cohorts could differ by round-off and break bit-exact
-// resumption).
-func (q *Backlog) Restore(s BacklogState) {
+// resumption). A state with a negative amount or delay is rejected and
+// the backlog left unchanged: a negative backlog would reach the
+// controllers as a negative queue, which no run produces.
+func (q *Backlog) Restore(s BacklogState) error {
+	if s.TotalMWh < 0 || s.ServedMWh < 0 || s.DelayWeighted < 0 || s.MaxDelay < 0 {
+		return fmt.Errorf("queue: restored backlog has a negative total (%g), service (%g) or delay (%g, %d)",
+			s.TotalMWh, s.ServedMWh, s.DelayWeighted, s.MaxDelay)
+	}
+	for i, c := range s.Cohorts {
+		if c.RemainingMWh < 0 {
+			return fmt.Errorf("queue: restored cohort %d has negative remaining energy %g", i, c.RemainingMWh)
+		}
+	}
 	q.cohorts = q.cohorts[:0]
 	q.head = 0
 	for _, c := range s.Cohorts {
@@ -150,6 +162,7 @@ func (q *Backlog) Restore(s BacklogState) {
 	q.servedMWh = s.ServedMWh
 	q.delayWeighted = s.DelayWeighted
 	q.maxDelay = s.MaxDelay
+	return nil
 }
 
 // OldestArrival returns the arrival slot of the oldest queued energy and

@@ -81,6 +81,61 @@ func TestBacklogOldestArrival(t *testing.T) {
 	}
 }
 
+// TestBacklogStateRoundTrip: AppendState carries only the live cohorts
+// (the drained head is dropped) and a restored backlog serves
+// bit-identically to the original.
+func TestBacklogStateRoundTrip(t *testing.T) {
+	q := NewBacklog()
+	q.Arrive(0, 2)
+	q.Arrive(1, 3)
+	q.Arrive(2, 1)
+	q.Serve(3, 2.5) // drains cohort 0, half of cohort 1
+
+	prefix := []CohortState{{ArrivalSlot: -1}}
+	st := q.AppendState(prefix)
+	if len(st.Cohorts) != 3 || st.Cohorts[0] != prefix[0] {
+		t.Fatalf("cohorts = %+v, want the prefix plus the 2 live cohorts", st.Cohorts)
+	}
+	st.Cohorts = st.Cohorts[1:]
+	if st.Cohorts[0] != (CohortState{ArrivalSlot: 1, RemainingMWh: 2.5}) {
+		t.Errorf("oldest live cohort = %+v", st.Cohorts[0])
+	}
+
+	r := NewBacklog()
+	if err := r.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != q.Len() || r.ServedTotal() != q.ServedTotal() || r.MaxDelay() != q.MaxDelay() {
+		t.Fatalf("restored backlog differs: len %g/%g served %g/%g", r.Len(), q.Len(), r.ServedTotal(), q.ServedTotal())
+	}
+	if a, b := q.Serve(9, 2), r.Serve(9, 2); a != b || q.MeanDelay() != r.MeanDelay() {
+		t.Errorf("restored backlog serves %g (mean delay %g), original %g (%g)", b, r.MeanDelay(), a, q.MeanDelay())
+	}
+
+	// Appending into enough capacity reuses it; an empty backlog adds nothing.
+	buf := make([]CohortState, 0, 4)
+	if allocs := testing.AllocsPerRun(10, func() { buf = q.AppendState(buf[:0]).Cohorts }); allocs != 0 {
+		t.Errorf("AppendState into a sized buffer: %v allocs, want 0", allocs)
+	}
+	if got := NewBacklog().AppendState(nil).Cohorts; got != nil {
+		t.Errorf("empty backlog cohorts = %v, want nil", got)
+	}
+
+	// Negative amounts are rejected and leave the backlog unchanged.
+	for _, bad := range []BacklogState{
+		{TotalMWh: -1},
+		{TotalMWh: 1, Cohorts: []CohortState{{ArrivalSlot: 0, RemainingMWh: -1}}},
+		{MaxDelay: -1},
+	} {
+		if err := r.Restore(bad); err == nil {
+			t.Errorf("Restore(%+v) accepted", bad)
+		}
+	}
+	if r.Len() != q.Len() {
+		t.Errorf("rejected Restore changed the backlog: len %g, want %g", r.Len(), q.Len())
+	}
+}
+
 func TestBacklogClampedDelay(t *testing.T) {
 	q := NewBacklog()
 	q.Arrive(10, 1)

@@ -46,6 +46,7 @@ type Daemon struct {
 	mu          sync.Mutex
 	sess        *engine.Session
 	checkpoints uint64 // checkpoint files written
+	ckpt        []byte // checkpoint encoding buffer, reused across writes
 	resumed     bool   // whether New restored from an existing checkpoint
 }
 
@@ -169,10 +170,12 @@ func (d *Daemon) shutdown(cause error) error {
 
 // writeCheckpoint snapshots the session and replaces the checkpoint file
 // atomically (write to a temp file in the same directory, fsync, rename)
-// so a crash mid-write never corrupts the recovery point.
+// so a crash mid-write never corrupts the recovery point. The snapshot
+// is encoded into one daemon-owned buffer reused across checkpoints.
 func (d *Daemon) writeCheckpoint() error {
 	d.mu.Lock()
-	data, err := d.sess.Snapshot()
+	data, err := d.sess.AppendSnapshot(d.ckpt[:0])
+	d.ckpt = data
 	d.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)

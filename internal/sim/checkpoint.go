@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -81,27 +82,85 @@ func (s *Session) ConfigHash() string {
 	return s.hash
 }
 
+// snapshotScratch is a session's checkpoint-encoding storage: the
+// reused Checkpoint image, the controller blob and the component slices
+// it points into, and one JSON encoder. Snapshot allocates it on first
+// use — the same lazy pattern as ConfigHash — so batch runs that never
+// checkpoint never pay for it.
+type snapshotScratch struct {
+	cp      Checkpoint
+	ctrl    []byte
+	cohorts []queue.CohortState
+	fleet   []generator.State
+	enc     StateEncoder
+}
+
+// StateEncoder appends JSON encodings to caller-supplied slices through
+// one reused json.Encoder and buffer, so a steady-state encode allocates
+// nothing. Its zero value is ready to use; it is not safe for concurrent
+// use. Session checkpoints and the Snapshotter implementations share it.
+type StateEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// Append appends the JSON encoding of v to dst — exactly the bytes
+// json.Marshal(v) produces — and returns the extended slice (dst
+// unchanged on error). Pass v as a pointer: a pointer converts to an
+// interface without allocating, where a struct value is boxed.
+func (e *StateEncoder) Append(dst []byte, v any) ([]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	e.buf.Reset()
+	if err := e.enc.Encode(v); err != nil {
+		return dst, err
+	}
+	b := e.buf.Bytes()
+	return append(dst, b[:len(b)-1]...), nil // Encode ends every value with '\n'
+}
+
 // Snapshot captures the full simulation state as a self-describing JSON
-// checkpoint. It is only valid between slots: with a Step pending Commit
-// it fails with ErrPendingDecision, and after Finish with
-// ErrSessionFinished. The controller must implement Snapshotter
-// (ErrSnapshotUnsupported otherwise).
-func (s *Session) Snapshot() ([]byte, error) {
+// checkpoint in a freshly allocated slice the caller owns. It is only
+// valid between slots: with a Step pending Commit it fails with
+// ErrPendingDecision, and after Finish with ErrSessionFinished. The
+// controller must implement Snapshotter (ErrSnapshotUnsupported
+// otherwise).
+//
+// Snapshot is AppendSnapshot(nil): after the first call, which sets up
+// the session's encoding scratch and the configuration digest, it makes
+// exactly one heap allocation — the returned slice.
+func (s *Session) Snapshot() ([]byte, error) { return s.AppendSnapshot(nil) }
+
+// AppendSnapshot appends the checkpoint Snapshot returns to dst and
+// returns the extended slice (dst unchanged on error). The checkpoint is
+// assembled and encoded in session-owned storage, so appending into a
+// dst with enough capacity allocates nothing at steady state — the
+// reuse a periodically checkpointing daemon wants. The bytes are
+// CheckpointVersion 1's, identical to the json.Marshal encoding earlier
+// builds wrote (the golden checkpoints in testdata/checkpoint pin them).
+func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	if s.finished {
-		return nil, ErrSessionFinished
+		return dst, ErrSessionFinished
 	}
 	if s.pending {
-		return nil, ErrPendingDecision
+		return dst, ErrPendingDecision
 	}
 	snap, ok := s.ctrl.(Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("%w: controller %q", ErrSnapshotUnsupported, s.ctrl.Name())
+		return dst, fmt.Errorf("%w: controller %q", ErrSnapshotUnsupported, s.ctrl.Name())
 	}
-	ctrlState, err := snap.SnapshotState()
+	sc := s.snap
+	if sc == nil {
+		sc = new(snapshotScratch)
+		s.snap = sc
+	}
+	ctrl, err := snap.AppendState(sc.ctrl[:0])
 	if err != nil {
-		return nil, fmt.Errorf("sim: controller snapshot: %w", err)
+		return dst, fmt.Errorf("sim: controller snapshot: %w", err)
 	}
-	cp := Checkpoint{
+	sc.ctrl = ctrl
+	sc.cp = Checkpoint{
 		Version:         CheckpointVersion,
 		ConfigHash:      s.ConfigHash(),
 		Controller:      s.ctrl.Name(),
@@ -110,12 +169,13 @@ func (s *Session) Snapshot() ([]byte, error) {
 		SlotMinutes:     s.slotMinutes,
 		Battery:         s.batt.State(),
 		Market:          s.acct.State(),
-		Backlog:         s.backlog.State(),
-		Fleet:           s.fleet.State(),
+		Backlog:         s.backlog.AppendState(sc.cohorts[:0]),
+		Fleet:           s.fleet.AppendState(sc.fleet[:0]),
 		Report:          s.rep.state(),
-		ControllerState: ctrlState,
+		ControllerState: ctrl,
 	}
-	return json.Marshal(cp)
+	sc.cohorts, sc.fleet = sc.cp.Backlog.Cohorts, sc.cp.Fleet
+	return sc.enc.Append(dst, &sc.cp)
 }
 
 // Restore reinstates a checkpoint onto this session, which must be
@@ -124,6 +184,13 @@ func (s *Session) Snapshot() ([]byte, error) {
 // the embedded hash). The session may be fresh or mid-run; either way
 // its entire state is overwritten and execution resumes bit-for-bit at
 // the checkpoint's slot.
+//
+// Restore is all-or-nothing. A checkpoint from another configuration or
+// format version fails with ErrSnapshotMismatch; one that does not
+// decode, or whose component states fail validation (a battery level
+// out of bounds, a malformed fleet unit, a corrupt controller blob),
+// fails with ErrCorruptCheckpoint. Either way the session is left
+// exactly as it was before the call.
 func (s *Session) Restore(data []byte) error {
 	if s.pending {
 		return ErrPendingDecision
@@ -134,7 +201,7 @@ func (s *Session) Restore(data []byte) error {
 	}
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
-		return fmt.Errorf("sim: decode checkpoint: %w", err)
+		return fmt.Errorf("%w: decode: %w", ErrCorruptCheckpoint, err)
 	}
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("%w: checkpoint version %d, want %d",
@@ -148,24 +215,41 @@ func (s *Session) Restore(data []byte) error {
 		return fmt.Errorf("%w: checkpoint controller %q, session has %q",
 			ErrSnapshotMismatch, cp.Controller, s.ctrl.Name())
 	}
+	if cp.Horizon != s.horizon || cp.SlotMinutes != s.slotMinutes {
+		return fmt.Errorf("%w: checkpoint horizon %d × %d min, session has %d × %d min",
+			ErrSnapshotMismatch, cp.Horizon, cp.SlotMinutes, s.horizon, s.slotMinutes)
+	}
 	if cp.Slot < 0 || cp.Slot > cp.Horizon {
 		return fmt.Errorf("%w: checkpoint slot %d outside [0, %d]",
 			ErrSnapshotMismatch, cp.Slot, cp.Horizon)
 	}
-	if err := s.batt.Restore(cp.Battery); err != nil {
-		return fmt.Errorf("sim: restore battery: %w", err)
+
+	// Rebuild every component off to the side; the session's own state
+	// is touched only once all of them — and the controller — accepted
+	// their part of the checkpoint.
+	c, err := newComponents(s.cfg, s.ctrl.Name(), s.horizon)
+	if err != nil {
+		return err
 	}
-	if err := s.acct.Restore(cp.Market); err != nil {
-		return fmt.Errorf("sim: restore market: %w", err)
+	if err := c.batt.Restore(cp.Battery); err != nil {
+		return fmt.Errorf("%w: battery: %w", ErrCorruptCheckpoint, err)
 	}
-	if err := s.fleet.Restore(cp.Fleet); err != nil {
-		return fmt.Errorf("sim: restore fleet: %w", err)
+	if err := c.acct.Restore(cp.Market); err != nil {
+		return fmt.Errorf("%w: market: %w", ErrCorruptCheckpoint, err)
 	}
-	s.backlog.Restore(cp.Backlog)
-	s.rep = restoreReport(cp.Report, s.ctrl.Name(), s.horizon, s.cfg.KeepSeries)
+	if err := c.fleet.Restore(cp.Fleet); err != nil {
+		return fmt.Errorf("%w: fleet: %w", ErrCorruptCheckpoint, err)
+	}
+	if err := c.backlog.Restore(cp.Backlog); err != nil {
+		return fmt.Errorf("%w: backlog: %w", ErrCorruptCheckpoint, err)
+	}
+	c.rep.restore(cp.Report, s.cfg.KeepSeries)
+	// The controller goes last: RestoreState is all-or-nothing by the
+	// Snapshotter contract, and nothing after it can fail.
 	if err := snap.RestoreState(cp.ControllerState); err != nil {
-		return fmt.Errorf("sim: restore controller: %w", err)
+		return fmt.Errorf("%w: controller: %w", ErrCorruptCheckpoint, err)
 	}
+	s.components = c
 	s.slot = cp.Slot
 	s.finished = false
 	return nil

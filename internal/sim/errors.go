@@ -31,6 +31,14 @@ var (
 	// physics, so the mismatch is fatal.
 	ErrSnapshotMismatch = errors.New("sim: checkpoint does not match session configuration")
 
+	// ErrCorruptCheckpoint reports a Restore from bytes that are not a
+	// well-formed checkpoint: they do not decode, or a component state
+	// fails validation (a battery level outside its bounds, a fleet of
+	// the wrong size, a controller blob that does not decode). The
+	// underlying decode or validation error stays reachable through
+	// errors.Is/As, and the session is left untouched.
+	ErrCorruptCheckpoint = errors.New("sim: corrupt checkpoint")
+
 	// ErrSnapshotUnsupported reports a Snapshot/Restore on a session
 	// whose controller does not implement Snapshotter (the offline
 	// benchmarks, which precompute plans from the full trace).

@@ -18,6 +18,7 @@ import (
 // waste, purchases or shed load.
 type NoisyController struct {
 	inner Controller
+	name  string // inner name + "+noise", built once: Name runs on every Snapshot
 	rng   *rand.Rand
 	frac  float64
 
@@ -27,6 +28,8 @@ type NoisyController struct {
 	// draws discards (see RestoreState).
 	seed  int64
 	draws uint64
+
+	snap *noisyScratch // checkpoint-encoding storage, nil until first use
 }
 
 var _ Controller = (*NoisyController)(nil)
@@ -43,6 +46,7 @@ func WithObservationNoise(inner Controller, seed int64, frac float64) (*NoisyCon
 	}
 	return &NoisyController{
 		inner: inner,
+		name:  inner.Name() + "+noise",
 		rng:   rand.New(rand.NewSource(seed)),
 		frac:  frac,
 		seed:  seed,
@@ -50,7 +54,7 @@ func WithObservationNoise(inner Controller, seed int64, frac float64) (*NoisyCon
 }
 
 // Name implements Controller.
-func (n *NoisyController) Name() string { return n.inner.Name() + "+noise" }
+func (n *NoisyController) Name() string { return n.name }
 
 // CoarseSlots implements Controller.
 func (n *NoisyController) CoarseSlots() int { return n.inner.CoarseSlots() }
@@ -122,23 +126,46 @@ type noisyState struct {
 	Inner json.RawMessage `json:"inner,omitempty"`
 }
 
-// SnapshotState implements Snapshotter. The wrapped controller must
+// maxNoiseDraws bounds the draw count a restore replays. A slot
+// consumes at most ten draws (five at a coarse boundary, five per fine
+// slot), so the bound covers 6.7 million slots — centuries of hourly or
+// quarter-hourly operation — while keeping the replay of a corrupt count
+// under a second instead of unbounded.
+const maxNoiseDraws = 1 << 26
+
+// noisyScratch is the wrapper's checkpoint-encoding storage, allocated
+// by the first AppendState: the state image, the inner controller's
+// blob it points into, and the encoder.
+type noisyScratch struct {
+	state noisyState
+	inner []byte
+	enc   StateEncoder
+}
+
+// AppendState implements Snapshotter. The wrapped controller must
 // itself be a Snapshotter, or ErrSnapshotUnsupported is returned.
-func (n *NoisyController) SnapshotState() ([]byte, error) {
+func (n *NoisyController) AppendState(dst []byte) ([]byte, error) {
 	snap, ok := n.inner.(Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("%w: wrapped controller %q", ErrSnapshotUnsupported, n.inner.Name())
+		return dst, fmt.Errorf("%w: wrapped controller %q", ErrSnapshotUnsupported, n.inner.Name())
 	}
-	inner, err := snap.SnapshotState()
+	if n.snap == nil {
+		n.snap = new(noisyScratch)
+	}
+	inner, err := snap.AppendState(n.snap.inner[:0])
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return json.Marshal(noisyState{Seed: n.seed, Draws: n.draws, Inner: inner})
+	n.snap.inner = inner
+	n.snap.state = noisyState{Seed: n.seed, Draws: n.draws, Inner: inner}
+	return n.snap.enc.Append(dst, &n.snap.state)
 }
 
 // RestoreState implements Snapshotter. The RNG is repositioned by
 // re-seeding and discarding the recorded number of draws — the uniform
-// stream then continues exactly where the snapshot left it.
+// stream then continues exactly where the snapshot left it. The inner
+// controller restores first (all-or-nothing by the Snapshotter
+// contract), so a rejected blob leaves the wrapper untouched too.
 func (n *NoisyController) RestoreState(data []byte) error {
 	snap, ok := n.inner.(Snapshotter)
 	if !ok {
@@ -151,11 +178,17 @@ func (n *NoisyController) RestoreState(data []byte) error {
 	if s.Seed != n.seed {
 		return fmt.Errorf("%w: noise seed %d, session has %d", ErrSnapshotMismatch, s.Seed, n.seed)
 	}
+	if s.Draws > maxNoiseDraws {
+		return fmt.Errorf("sim: noise state replays %d draws, more than %d", s.Draws, uint64(maxNoiseDraws))
+	}
+	if err := snap.RestoreState(s.Inner); err != nil {
+		return err
+	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	for i := uint64(0); i < s.Draws; i++ {
 		rng.Float64()
 	}
 	n.rng = rng
 	n.draws = s.Draws
-	return snap.RestoreState(s.Inner)
+	return nil
 }

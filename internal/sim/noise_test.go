@@ -154,3 +154,49 @@ func TestNoisyControllerZeroFraction(t *testing.T) {
 		t.Error("zero fraction perturbed observations")
 	}
 }
+
+// TestNoisyControllerRestoreIsAllOrNothing: a noise blob whose inner
+// state, seed or draw count is rejected leaves the wrapper's RNG
+// position (and the inner controller) as they were; an accepted one
+// resumes the uniform stream exactly.
+func TestNoisyControllerRestoreIsAllOrNothing(t *testing.T) {
+	mk := func() *NoisyController {
+		n, err := WithObservationNoise(&snapController{scriptController: scriptController{name: "in", gbef: 1}}, 3, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	n := mk()
+	for i := 0; i < 7; i++ {
+		n.factor()
+	}
+	blob, err := n.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	other := mk()
+	other.factor()
+	before, _ := other.AppendState(nil)
+	for _, bad := range []string{
+		`{"seed":3,"draws":7,"inner":{"Outcomes":"x"}}`,
+		`{"seed":4,"draws":7,"inner":{"Outcomes":0}}`,
+		`{"seed":3,"draws":1000000000000,"inner":{"Outcomes":0}}`,
+		`{"seed":3,"draws":7}`,
+	} {
+		if err := other.RestoreState([]byte(bad)); err == nil {
+			t.Errorf("RestoreState(%s) accepted", bad)
+		}
+		if after, _ := other.AppendState(nil); string(after) != string(before) {
+			t.Errorf("rejected RestoreState(%s) changed the wrapper: %s, want %s", bad, after, before)
+		}
+	}
+
+	if err := other.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := n.factor(), other.factor(); a != b {
+		t.Errorf("restored stream draws %g, original %g", b, a)
+	}
+}

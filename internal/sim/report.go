@@ -161,13 +161,14 @@ func (r *Report) state() ReportState {
 	}
 }
 
-// restoreReport rebuilds an in-progress report from a checkpoint. The
-// session's own keepSeries setting governs the series (the config hash
-// pins it to the snapshotting session's anyway); with series kept, the
-// recorded prefix is copied into fresh capacity-horizon buffers so
-// appends stay allocation-free for the rest of the run.
-func restoreReport(s ReportState, controller string, horizon int, keepSeries bool) *Report {
-	r := newReport(controller, horizon, keepSeries)
+// restore fills a fresh report (from newReport) with a checkpoint's
+// in-progress state. The session's own keepSeries setting governs the
+// series (the config hash pins it to the snapshotting session's anyway);
+// with series kept, the recorded prefix is copied into the fresh
+// capacity-horizon buffers so appends stay allocation-free for the rest
+// of the run.
+func (r *Report) restore(s ReportState, keepSeries bool) {
+	controller := r.Controller
 	costs, backlogs, batteries := r.CostSeries, r.BacklogSeries, r.BatterySeries
 	costStream, backlogStream := r.costStream, r.backlogStream
 	*r = s.Summary
@@ -183,7 +184,6 @@ func restoreReport(s ReportState, controller string, horizon int, keepSeries boo
 	} else {
 		r.CostSeries, r.BacklogSeries, r.BatterySeries = nil, nil, nil
 	}
-	return r
 }
 
 func (r *Report) recordSlot(rec slotRecord) {

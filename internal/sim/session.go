@@ -77,14 +77,24 @@ type SlotOutcome struct {
 }
 
 // Snapshotter is implemented by controllers whose internal state can be
-// checkpointed. SnapshotState returns an opaque blob (conventionally
-// JSON) that RestoreState accepts on a freshly constructed controller of
-// the same configuration; the session embeds it in its Checkpoint.
+// checkpointed. AppendState appends an opaque blob (conventionally
+// JSON) to dst and returns the extended slice; RestoreState accepts that
+// blob on a freshly constructed controller of the same configuration.
+// The session embeds the blob in its Checkpoint.
+//
+// AppendState runs on every Snapshot, so implementers keep their
+// checkpoint form in lazily allocated controller-owned storage and
+// encode a pointer to it (StateEncoder does the reuse): at steady state
+// a call allocates nothing beyond growing dst. RestoreState must be
+// all-or-nothing — on error the controller is left exactly as it was —
+// because Session.Restore relies on it to leave a session untouched by
+// a rejected checkpoint.
+//
 // Controllers without it (the offline benchmarks, which precompute plans
 // from the full trace) make Session.Snapshot fail with
 // ErrSnapshotUnsupported.
 type Snapshotter interface {
-	SnapshotState() ([]byte, error)
+	AppendState(dst []byte) ([]byte, error)
 	RestoreState([]byte) error
 }
 
@@ -114,13 +124,10 @@ type Session struct {
 	horizon     int
 	slotMinutes int
 	fingerprint func() string
-	hash        string // lazily computed by ConfigHash
+	hash        string           // lazily computed by ConfigHash
+	snap        *snapshotScratch // allocated by the first Snapshot
 
-	batt    *battery.Battery
-	fleet   *generator.Fleet
-	acct    *market.Account
-	backlog *queue.Backlog
-	rep     *Report
+	components
 
 	slot     int
 	finished bool
@@ -156,15 +163,7 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 	if slotMinutes <= 0 {
 		return nil, &ValidationError{Field: "SlotMinutes", Reason: "must be positive"}
 	}
-	batt, err := battery.New(cfg.Battery)
-	if err != nil {
-		return nil, err
-	}
-	fleet, err := generator.NewFleet(cfg.fleetSpecs())
-	if err != nil {
-		return nil, err
-	}
-	acct, err := market.NewAccount(cfg.Market)
+	c, err := newComponents(cfg, ctrl.Name(), horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -174,11 +173,42 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 		horizon:     horizon,
 		slotMinutes: slotMinutes,
 		fingerprint: fingerprint,
-		batt:        batt,
-		fleet:       fleet,
-		acct:        acct,
-		backlog:     queue.NewBacklog(),
-		rep:         newReport(ctrl.Name(), horizon, cfg.KeepSeries),
+		components:  c,
+	}, nil
+}
+
+// components is the session's mutable physical and accounting state —
+// everything a checkpoint carries besides the slot index and the
+// controller's blob.
+type components struct {
+	batt    *battery.Battery
+	fleet   *generator.Fleet
+	acct    *market.Account
+	backlog *queue.Backlog
+	rep     *Report
+}
+
+// newComponents builds the initial component state for cfg (NewSession)
+// and the blank set a Restore fills before swapping it in.
+func newComponents(cfg Config, controller string, horizon int) (components, error) {
+	batt, err := battery.New(cfg.Battery)
+	if err != nil {
+		return components{}, err
+	}
+	fleet, err := generator.NewFleet(cfg.fleetSpecs())
+	if err != nil {
+		return components{}, err
+	}
+	acct, err := market.NewAccount(cfg.Market)
+	if err != nil {
+		return components{}, err
+	}
+	return components{
+		batt:    batt,
+		fleet:   fleet,
+		acct:    acct,
+		backlog: queue.NewBacklog(),
+		rep:     newReport(controller, horizon, cfg.KeepSeries),
 	}, nil
 }
 

@@ -13,14 +13,19 @@ import (
 // round-trips.
 type snapController struct {
 	scriptController
+	state snapState
+	enc   StateEncoder
 }
 
-func (s *snapController) SnapshotState() ([]byte, error) {
-	return json.Marshal(struct{ Outcomes int }{len(s.outcomes)})
+type snapState struct{ Outcomes int }
+
+func (s *snapController) AppendState(dst []byte) ([]byte, error) {
+	s.state.Outcomes = len(s.outcomes)
+	return s.enc.Append(dst, &s.state)
 }
 
 func (s *snapController) RestoreState(data []byte) error {
-	var v struct{ Outcomes int }
+	var v snapState
 	if err := json.Unmarshal(data, &v); err != nil {
 		return err
 	}
@@ -76,6 +81,39 @@ func TestSessionMatchesRun(t *testing.T) {
 
 	if a, b := reportBytes(t, batch), reportBytes(t, stepped); string(a) != string(b) {
 		t.Errorf("stepped report differs from batch:\nbatch:   %s\nstepped: %s", a, b)
+	}
+}
+
+// TestSnapshotScratchIsLazy: the checkpoint-encoding storage belongs to
+// sessions that checkpoint. A session driven through the batch loop
+// never allocates it; the first Snapshot does, and later ones reuse it.
+func TestSnapshotScratchIsLazy(t *testing.T) {
+	set := flatSet(6, 1.0, 0.4, 0.2, 40, 50)
+	ctrl := &snapController{scriptController: scriptController{name: "lazy", gbef: 3}}
+	s, err := NewSession(testConfig(), ctrl, set.Horizon(), 60, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Slot() < s.Horizon() {
+		if _, err := s.Step(InputAt(set, s.Slot())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.snap != nil || s.hash != "" {
+		t.Fatal("a session that never checkpointed allocated snapshot scratch or hashed its config")
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	scratch := s.snap
+	if scratch == nil {
+		t.Fatal("Snapshot did not set up the session's scratch")
+	}
+	if _, err := s.Snapshot(); err != nil || s.snap != scratch {
+		t.Errorf("second Snapshot replaced the scratch (err %v)", err)
 	}
 }
 
@@ -186,7 +224,7 @@ func TestSessionSnapshotRestoreTail(t *testing.T) {
 	set := flatSet(horizon, 1.0, 0.4, 0.2, 40, 50)
 	cfg := testConfig()
 	mk := func() *snapController {
-		return &snapController{scriptController{name: "tail", gbef: 3}}
+		return &snapController{scriptController: scriptController{name: "tail", gbef: 3}}
 	}
 
 	// Uninterrupted reference run.
@@ -247,7 +285,7 @@ func TestSessionSnapshotErrors(t *testing.T) {
 	set := flatSet(4, 1, 0, 0, 40, 50)
 	cfg := testConfig()
 	mk := func(fp string) *Session {
-		s, err := NewSession(cfg, &snapController{scriptController{name: "snap", gbef: 4}}, 4, 60, fpFn(fp))
+		s, err := NewSession(cfg, &snapController{scriptController: scriptController{name: "snap", gbef: 4}}, 4, 60, fpFn(fp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,15 +349,15 @@ func TestSessionSnapshotErrors(t *testing.T) {
 		}
 	})
 	t.Run("garbage blob", func(t *testing.T) {
-		if err := mk("a").Restore([]byte("not json")); err == nil {
-			t.Error("garbage checkpoint accepted")
+		if err := mk("a").Restore([]byte("not json")); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("err = %v, want ErrCorruptCheckpoint", err)
 		}
 	})
 }
 
 func TestCheckpointIsSelfDescribing(t *testing.T) {
 	cfg := testConfig()
-	s, err := NewSession(cfg, &snapController{scriptController{name: "desc", gbef: 4}}, 4, 60, nil)
+	s, err := NewSession(cfg, &snapController{scriptController: scriptController{name: "desc", gbef: 4}}, 4, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

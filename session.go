@@ -16,6 +16,10 @@ var (
 	// a different configuration (options, policy, horizon, slot length or
 	// checkpoint-format version).
 	ErrSnapshotMismatch = engine.ErrSnapshotMismatch
+	// ErrCorruptCheckpoint reports a Restore from bytes that are not a
+	// well-formed checkpoint (truncated, undecodable, or with a component
+	// state out of bounds). The session is left unchanged.
+	ErrCorruptCheckpoint = engine.ErrCorruptCheckpoint
 	// ErrSnapshotUnsupported reports Snapshot/Restore on a policy that
 	// cannot be checkpointed (the clairvoyant offline benchmarks).
 	ErrSnapshotUnsupported = engine.ErrSnapshotUnsupported
@@ -52,7 +56,9 @@ type SessionStatus = engine.SessionStatus
 // → SlotOutcome; Finish() returns the Report. Between slots the full
 // state can be checkpointed with Snapshot and reinstated with Restore
 // on an identically configured session — in this process or another
-// one — and the resumed run continues bit-for-bit.
+// one — and the resumed run continues bit-for-bit. A periodically
+// checkpointing caller can reuse one buffer through AppendSnapshot,
+// which allocates nothing once the session's encoding storage is set up.
 type Session = engine.Session
 
 // NewSession builds a streaming session over horizon fine slots: the
