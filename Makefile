@@ -24,7 +24,7 @@ PERF_NOTE ?= make perf-check
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
 
-.PHONY: build test race bench fuzz lint lint-docs docs suite golden cover perf perf-bench perf-check serve-smoke tune-smoke
+.PHONY: build test race bench fuzz lint lint-docs docs suite golden cover loc perf perf-bench perf-check serve-smoke tune-smoke
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,15 @@ golden:
 # baseline 70%, lp 95%, sim 70%, optimize 85%).
 cover:
 	$(GO) test -cover ./internal/suite ./internal/generator ./internal/baseline ./internal/lp ./internal/sim ./internal/optimize
+
+# Net Go line counts tracked in CHANGES.md: every *.go file outside
+# dpssbench/ (and the benchmark's .bench_build/ cache), split into tests
+# (*_test.go) and the rest.
+LOC_FILES = find . -name '*.go' -not -path './dpssbench/*' -not -path './.bench_build/*'
+loc:
+	@printf 'non-test %d\ntest     %d\n' \
+		$$($(LOC_FILES) -not -name '*_test.go' -exec cat {} + | wc -l) \
+		$$($(LOC_FILES) -name '*_test.go' -exec cat {} + | wc -l)
 
 # Tuning-family smoke: the three tune scenarios (tuned-vs-default gap,
 # seed/regime transfer, SmartDPSS-vs-Lyapunov frontier) on a two-day

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	dpss-serve [-addr host:port] [-policy smartdpss|impatient]
+//	dpss-serve [-addr host:port] [-policy smartdpss|impatient|lyapunov]
 //	           [-days N] [-seed S]
 //	           [-checkpoint file] [-checkpoint-every N]
 //	           [-interval dur] [-max-slots N]
@@ -53,7 +53,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("dpss-serve", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:9464", "HTTP listen address for /metrics, /healthz, /status")
-		policy     = fs.String("policy", "smartdpss", "control policy: smartdpss|impatient (resumable online policies)")
+		policy     = fs.String("policy", "smartdpss", "control policy: smartdpss|impatient|lyapunov (resumable online policies)")
 		days       = fs.Int("days", 31, "replay trace horizon in days")
 		seed       = fs.Int64("seed", 1, "trace generator seed")
 		checkpoint = fs.String("checkpoint", "", "checkpoint file for crash recovery (empty disables)")

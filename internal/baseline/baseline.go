@@ -136,21 +136,13 @@ func (c Config) Validate() error {
 // Production solves use the bounded-variable simplex (capacity and box
 // limits as column bounds, not rows — the interval LP's tableau shrinks
 // ~40%) and run the cold pivot sequence with buffer reuse. Basis
-// warm-starting across consecutive same-shape solves is available behind
-// the warm flag and stays off here for two measured reasons: these
-// degenerate LPs have alternate optima, so a warm solve can land on a
-// different (equally optimal) vertex than the byte-pinned golden
-// snapshots replay; and at this problem scale the dense-tableau basis
-// re-installation plus feasibility repair costs more pivots than the
-// skipped phase 1 saves (see TestWarmIntervalSequencePivotOverhead).
-// Because warm bases only exist for the row formulation, setting warm
-// (or rowBounds) keeps the problem in the legacy row-per-bound form.
-// The zero value is ready to use.
+// warm-starting across consecutive same-shape solves was measured and
+// removed (see the "Warm starts" section of the lp package
+// documentation). The zero value is ready to use.
 type lpState struct {
 	solver    lp.Solver
 	prob      *lp.Problem
-	warm      bool
-	rowBounds bool // keep the row-per-bound formulation (warm-start tests)
+	rowBounds bool // keep the row-per-bound formulation (OfflineOptimal: the golden-pinned vertex)
 	sparse    bool // route solves through the sparse revised simplex
 
 	grt, u, c, d, w, e []lp.VarID
@@ -160,41 +152,32 @@ type lpState struct {
 	plan               []sim.Decision
 	clamped            []float64
 
-	// lastIterations and lastObjective record the most recent solve —
-	// observability for the warm-start tests.
-	lastIterations int
-	lastObjective  float64
+	// lastObjective records the most recent solve's objective —
+	// observability for the tests.
+	lastObjective float64
 }
 
 // problem returns the reusable problem, reset for rebuilding. The bound
 // mode is re-derived on every call (not just at creation) so flipping
-// warm or rowBounds between solves takes effect rather than being
+// rowBounds or sparse between solves takes effect rather than being
 // silently latched.
 func (st *lpState) problem() *lp.Problem {
 	if st.prob == nil {
 		st.prob = lp.NewProblem()
 	}
-	st.prob.SetBounded(!st.warm && !st.rowBounds)
+	st.prob.SetBounded(!st.rowBounds)
 	// The sparse revised simplex matches the dense objective but not
 	// necessarily the dense vertex, so the golden-pinned row-bound mode
-	// and the warm-start mode (dense-only machinery) always force it off.
-	st.prob.SetSparse(st.sparse && !st.warm && !st.rowBounds)
+	// always forces it off.
+	st.prob.SetSparse(st.sparse && !st.rowBounds)
 	st.prob.Reset()
 	return st.prob
 }
 
-// solve runs the configured solve mode and records the pivot count and
-// objective for the warm-start tests.
+// solve runs the cold solve and records its objective for the tests.
 func (st *lpState) solve(prob *lp.Problem) (lp.Solution, error) {
-	var sol lp.Solution
-	var err error
-	if st.warm {
-		sol, err = st.solver.SolveWarm(prob)
-	} else {
-		sol, err = st.solver.Solve(prob)
-	}
+	sol, err := st.solver.Solve(prob)
 	if err == nil {
-		st.lastIterations = sol.Iterations
 		st.lastObjective = sol.Objective
 	}
 	return sol, err

@@ -104,7 +104,8 @@ func (l *Lookahead) RecordOutcome(sim.Outcome) {}
 // Consecutive windows share one shape until the horizon truncates them,
 // so every model and tableau buffer is reused across the receding
 // horizon and steady-state solves allocate nothing. The solves run cold
-// (see lpState for why basis warm-starting stays off).
+// (the lp package documentation records why basis warm starts were
+// removed).
 func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
 	st := &l.fine
 	bat := l.cfg.Battery

@@ -20,13 +20,13 @@ import (
 // pattern), so the controller's solver reuses every model and tableau
 // buffer across intervals and the whole sequence solves allocation-free
 // after the first interval. The solves themselves run the exact cold
-// row-formulation pivot sequence — not basis warm-starts, and not the
-// bounded-variable simplex — so each interval reproduces the historical
-// optimal vertex bit for bit: these interval LPs are degenerate (serving
-// the backlog earlier or later can be cost-neutral), the golden paper
-// figures pin this controller's replayed schedule byte for byte, and a
-// different-but-equally-optimal vertex would shift the reported delay
-// (see lpState and the lp package documentation).
+// row-formulation pivot sequence — not the bounded-variable simplex — so
+// each interval reproduces the historical optimal vertex bit for bit:
+// these interval LPs are degenerate (serving the backlog earlier or later
+// can be cost-neutral), the golden paper figures pin this controller's
+// replayed schedule byte for byte, and a different-but-equally-optimal
+// vertex would shift the reported delay (see the lp package documentation
+// on bound modes and the removed warm starts).
 type OfflineOptimal struct {
 	cfg Config
 	set *trace.Set
