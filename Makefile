@@ -6,13 +6,13 @@ GO ?= go
 # The perf-trajectory benchmark set (see PERF_FILE and README
 # "Performance"), shared by `make perf` and the CI gate (`make
 # perf-check`), so adding a benchmark is one edit here.
-# BenchmarkAblationOfflineHorizonLP (unanchored) matches both the sparse
-# default and its Dense reference variant, so cmd/perf can gate their
-# same-run speedup ratio; BenchmarkGeoStep carries the geo fan-out's
+# BenchmarkAblationOfflineHorizonLP carries the whole-horizon sparse
+# LP's allocs/op gate (TestHorizonLPSolverCeilings pins its pivot and
+# refactorization counts); BenchmarkGeoStep carries the geo fan-out's
 # allocs/op gate at every fleet size, BenchmarkGeoLP the sparse LP's
 # storage contract (a week of the geo-div ±30% point), and
 # BenchmarkSessionSnapshot the one-allocation checkpoint encoder.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkGeoLP$$|BenchmarkTuneEvaluate|BenchmarkSessionSnapshot$$
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP$$|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkGeoLP$$|BenchmarkTuneEvaluate|BenchmarkSessionSnapshot$$
 
 # The committed trajectory file the perf targets write and gate against.
 PERF_FILE = BENCH_13.json

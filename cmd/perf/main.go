@@ -19,12 +19,11 @@
 // gated benchmark is missing from the run or from FILE.
 // Allocations per op are deterministic — unlike ns/op they do not
 // depend on CI machine load — which makes them the right regression
-// signal for an allocation-free hot path. Two further gate families run
-// on the -check path: same-run speedup ratios (sparse vs dense
-// reference, load-independent) and coarse absolute wall-clock budgets
-// (the annual LP's ≤20 s hyper-sparsity pin). Every gate fails loud: a
-// gated benchmark absent from the parsed input fails the check rather
-// than passing it silently.
+// signal for an allocation-free hot path. A second gate family runs on
+// the -check path: coarse absolute wall-clock budgets (the annual LP's
+// ≤20 s hyper-sparsity pin). Every gate fails loud: a gated benchmark
+// absent from the parsed input fails the check rather than passing it
+// silently.
 package main
 
 import (
@@ -91,24 +90,10 @@ var gated = map[string]float64{
 	"BenchmarkGeoLP": 1.10,
 }
 
-// speedupGates are same-run ns/op ratio assertions: each entry requires
-// fast ≤ maxRatio × slow, and both benchmarks must appear in the parsed
-// input. Comparing two measurements from the same run keeps the gate
-// machine-load independent (both sides see the same CPU), unlike an
-// absolute ns/op threshold. The horizon entry is the sparse revised
-// simplex's reason to exist: if the sparse staircase path stops clearly
-// beating the dense chain reference, the migration has regressed.
-var speedupGates = []struct {
-	fast, slow string
-	maxRatio   float64
-}{
-	{"BenchmarkAblationOfflineHorizonLP", "BenchmarkAblationOfflineHorizonLPDense", 0.70},
-}
-
 // wallGates are absolute wall-clock budgets in ns/op. Unlike the alloc
-// and same-run ratio gates these are machine-load sensitive, so each
-// budget carries roughly 2x headroom over the measured value and exists
-// to catch order-of-magnitude regressions, not percent-level drift. The
+// gate these are machine-load sensitive, so each budget carries roughly
+// 2x headroom over the measured value and exists to catch
+// order-of-magnitude regressions, not percent-level drift. The
 // annual entry pins the hyper-sparse revised simplex: the year-long
 // (8760-slot) whole-horizon LP measured ~10 s when the hyper-sparse
 // FTRAN/BTRAN kernels landed, versus ~200 s before them — a return to
@@ -141,9 +126,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("perf: allocation gate passed against %s\n", *check)
-		if err := gateSpeedups(results, os.Stdout); err != nil {
-			fatalf("%v", err)
-		}
 		if err := gateWall(results, os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
@@ -239,29 +221,6 @@ func gate(fresh map[string]Result, committed *File, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "perf: %s at %d allocs/op (committed %d, limit %d)\n",
 			name, got.AllocsPerOp, want.AllocsPerOp, limit)
-	}
-	return nil
-}
-
-// gateSpeedups enforces the same-run ns/op ratio gates. Both
-// benchmarks of every gate must have been measured in this run.
-func gateSpeedups(fresh map[string]Result, w io.Writer) error {
-	for _, g := range speedupGates {
-		fast, okF := fresh[g.fast]
-		slow, okS := fresh[g.slow]
-		if !okF || !okS {
-			return fmt.Errorf("speedup-gated pair %s/%s missing from this run", g.fast, g.slow)
-		}
-		if slow.NsPerOp <= 0 {
-			return fmt.Errorf("%s measured at %.0f ns/op; cannot gate a ratio against it",
-				g.slow, slow.NsPerOp)
-		}
-		ratio := fast.NsPerOp / slow.NsPerOp
-		if ratio > g.maxRatio {
-			return fmt.Errorf("%s/%s ratio %.3f exceeds %.2f: the sparse path no longer beats the dense reference",
-				g.fast, g.slow, ratio, g.maxRatio)
-		}
-		fmt.Fprintf(w, "perf: %s at %.3fx of %s (gate %.2f)\n", g.fast, ratio, g.slow, g.maxRatio)
 	}
 	return nil
 }

@@ -116,27 +116,6 @@ func TestGateAllocs(t *testing.T) {
 	}
 }
 
-func TestGateSpeedups(t *testing.T) {
-	const fast, slow = "BenchmarkAblationOfflineHorizonLP", "BenchmarkAblationOfflineHorizonLPDense"
-	cases := []struct {
-		name    string
-		fresh   map[string]Result
-		wantErr string
-	}{
-		{name: "sparse well ahead", fresh: map[string]Result{fast: {NsPerOp: 40}, slow: {NsPerOp: 100}}},
-		{name: "at the ratio", fresh: map[string]Result{fast: {NsPerOp: 70}, slow: {NsPerOp: 100}}},
-		{name: "ratio exceeded", fresh: map[string]Result{fast: {NsPerOp: 71}, slow: {NsPerOp: 100}}, wantErr: "ratio"},
-		{name: "zero reference", fresh: map[string]Result{fast: {NsPerOp: 1}, slow: {}}, wantErr: "cannot gate"},
-		{name: "reference missing", fresh: map[string]Result{fast: {NsPerOp: 1}}, wantErr: "missing"},
-		{name: "both missing", fresh: map[string]Result{}, wantErr: "missing"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			checkErr(t, gateSpeedups(c.fresh, io.Discard), c.wantErr)
-		})
-	}
-}
-
 func TestGateWall(t *testing.T) {
 	const annual = "BenchmarkAblationOfflineAnnualLP"
 	cases := []struct {

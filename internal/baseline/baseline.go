@@ -74,13 +74,6 @@ type Config struct {
 	// Fleet is the multi-unit on-site generation fleet in dispatch
 	// order (nil: none). Each unit gets its own relaxed LP variables.
 	Fleet []generator.Params
-	// HorizonDense forces OfflineHorizon onto the legacy dense-tableau
-	// chain formulation instead of the sparse staircase form. The two
-	// reach the same optimal objective (gated by the LP parity harness);
-	// the knob exists for the dense-reference benchmark and for
-	// debugging, not for production — the dense chain form is quadratic
-	// in the horizon and cannot reach annual scale.
-	HorizonDense bool
 }
 
 // DefaultConfig mirrors core.DefaultParams for the shared constants.
@@ -152,9 +145,9 @@ type lpState struct {
 	plan               []sim.Decision
 	clamped            []float64
 
-	// lastObjective records the most recent solve's objective —
-	// observability for the tests.
-	lastObjective float64
+	// lastSolution records the most recent successful solve — its
+	// objective and solver counters are observability for the tests.
+	lastSolution lp.Solution
 }
 
 // problem returns the reusable problem, reset for rebuilding. The bound
@@ -174,11 +167,11 @@ func (st *lpState) problem() *lp.Problem {
 	return st.prob
 }
 
-// solve runs the cold solve and records its objective for the tests.
+// solve runs the cold solve and records it for the tests.
 func (st *lpState) solve(prob *lp.Problem) (lp.Solution, error) {
 	sol, err := st.solver.Solve(prob)
 	if err == nil {
-		st.lastObjective = sol.Objective
+		st.lastSolution = sol
 	}
 	return sol, err
 }
@@ -295,19 +288,10 @@ func genPlanUnits(sol *lp.Solution, vars [][]lp.VarID) []float64 {
 	return out
 }
 
-// clampUnits clamps a planned per-unit dispatch to the live admissible
-// requests (the engine enforces min-load and startup physics on
-// execution).
-func clampUnits(plan []float64, units []generator.UnitObs) []float64 {
-	if plan == nil {
-		return nil
-	}
-	return clampUnitsInto(make([]float64, len(plan)), plan, units)
-}
-
-// clampUnitsInto is clampUnits writing into a caller-owned buffer (which
-// must have len(plan)), so per-slot replay clamping reuses one slice per
-// controller.
+// clampUnitsInto clamps a planned per-unit dispatch to the live
+// admissible requests (the engine enforces min-load and startup physics
+// on execution), writing into a caller-owned buffer of len(plan) so
+// per-slot replay clamping reuses one slice per controller.
 func clampUnitsInto(dst, plan []float64, units []generator.UnitObs) []float64 {
 	for u, v := range plan {
 		if u < len(units) {

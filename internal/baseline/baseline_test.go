@@ -244,6 +244,9 @@ func TestOfflineHorizonAtLeastAsGoodAsPerInterval(t *testing.T) {
 		t.Errorf("horizon $%.2f worse than per-interval $%.2f",
 			horRep.TotalCostUSD, perRep.TotalCostUSD)
 	}
+	if horRep.UnservedMWh > 1e-6 {
+		t.Errorf("horizon plan left %g MWh unserved", horRep.UnservedMWh)
+	}
 }
 
 func TestOfflineIntervalPlanIsBalanced(t *testing.T) {

@@ -93,10 +93,6 @@ func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 	var st lpState
 	st.sparse = true
 	prob := st.problem()
-	// The joint LP is len(sites)× the single-site staircase; give it the
-	// same generous pivot budget the dense chain formulation uses.
-	prob.SetMaxIterations(200000)
-	defer prob.SetMaxIterations(0)
 
 	nS := len(sites)
 	outV := make([][]lp.VarID, nS)

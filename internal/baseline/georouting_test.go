@@ -30,7 +30,7 @@ func horizonObjective(t *testing.T, cfg Config, set *trace.Set) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o.st.lastObjective
+	return o.st.lastSolution.Objective
 }
 
 func relDiff(a, b float64) float64 {

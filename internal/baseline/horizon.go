@@ -12,12 +12,10 @@ import (
 // OfflineHorizon is the fully clairvoyant benchmark: one linear program
 // spanning the entire horizon, with a long-term purchase variable per
 // coarse interval and cross-interval battery planning. It lower-bounds
-// the per-interval OfflineOptimal. By default it solves the staircase
+// the per-interval OfflineOptimal. It solves the staircase
 // state-variable formulation on the sparse revised simplex, which keeps
 // the constraint matrix linear in the horizon and reaches annual (8760
-// slot) studies; Config.HorizonDense selects the legacy dense chain
-// formulation, which reaches the same objective but is quadratic in the
-// horizon.
+// slot) studies.
 type OfflineHorizon struct {
 	cfg Config
 	set *trace.Set
@@ -39,7 +37,7 @@ func NewOfflineHorizon(cfg Config, set *trace.Set) (*OfflineHorizon, error) {
 		return nil, err
 	}
 	o := &OfflineHorizon{cfg: cfg, set: set}
-	if err := o.solve(); err != nil {
+	if err := o.solveStair(); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -77,26 +75,16 @@ func (o *OfflineHorizon) PlanFine(obs sim.FineObs) sim.Decision {
 // RecordOutcome implements sim.Controller; the plan is precomputed.
 func (o *OfflineHorizon) RecordOutcome(sim.Outcome) {}
 
-// solve dispatches to the staircase sparse formulation (default) or the
-// legacy dense chain formulation (Config.HorizonDense). Both optimize
-// the identical objective over the identical feasible set; only the
-// constraint-matrix encoding — and therefore the solver path and,
-// possibly, the reported vertex among alternate optima — differs.
-func (o *OfflineHorizon) solve() error {
-	if o.cfg.HorizonDense {
-		return o.solveChain()
-	}
-	return o.solveStair()
-}
-
 // solveStair builds the whole-horizon LP in staircase state-variable
 // form: explicit battery-level variables B_i and cumulative-served
-// variables U_i turn the chain formulation's O(H²) prefix rows into one
-// equality and two column bounds per slot, so the matrix has O(1)
-// nonzeros per row and the sparse revised simplex solves it at annual
-// scale. The objective is an exact substitution of the chain form
-// (B_i = b0 + Σ ηc·c_j − ηd·d_j, U_i = Σ u_j), so the optimal value is
-// identical; the reported vertex may be a different, equally optimal one.
+// variables U_i replace the j ≤ i prefix rows of the chain form that
+// solveInterval builds per interval — over a whole horizon those would
+// be O(H²) nonzeros — with one equality and two column bounds per slot,
+// so the matrix has O(1) nonzeros per row and the sparse revised simplex
+// solves it at annual scale. The substitution is exact (B_i = b0 +
+// Σ ηc·c_j − ηd·d_j, U_i = Σ u_j): a one-interval horizon reaches
+// solveInterval's optimal objective, though possibly at a different,
+// equally optimal vertex.
 func (o *OfflineHorizon) solveStair() error {
 	cfg, set := o.cfg, o.set
 	st := &o.st
@@ -107,7 +95,6 @@ func (o *OfflineHorizon) solveStair() error {
 	K := (H + T - 1) / T
 
 	st.sparse = true
-	defer func() { st.sparse = false }()
 	prob := st.problem()
 
 	gbef := make([]lp.VarID, K)
@@ -231,155 +218,6 @@ func (o *OfflineHorizon) solveStair() error {
 			lp.Term{Var: us[end-1], Coeff: 1},
 			lp.Term{Var: slack, Coeff: 1},
 		)
-	}
-
-	sol, err := st.solve(prob)
-	if err != nil {
-		return fmt.Errorf("baseline: horizon LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return fmt.Errorf("baseline: horizon LP: %v", sol.Status)
-	}
-
-	o.gbef = make([]float64, K)
-	for k := 0; k < K; k++ {
-		o.gbef[k] = sol.Value(gbef[k])
-	}
-	o.plan = make([]sim.Decision, H)
-	for i := 0; i < H; i++ {
-		dec := sim.Decision{
-			Grt:       sol.Value(grt[i]),
-			ServeDT:   sol.Value(u[i]),
-			Charge:    sol.Value(c[i]),
-			Discharge: sol.Value(d[i]),
-		}
-		if g != nil {
-			dec.GenerateUnits = genPlanUnits(&sol, g[i])
-		}
-		netPlanChargeDischarge(&dec, bat.ChargeEff, bat.DischargeEff)
-		o.plan[i] = dec
-	}
-	return nil
-}
-
-// solveChain builds and solves the legacy dense chain formulation. The
-// structure matches solveInterval, with one gbef per coarse interval,
-// battery dynamics and service causality chained across the whole
-// horizon as j ≤ i prefix rows, and the same "served by interval end"
-// deadline so the two offline benchmarks differ only in cross-interval
-// planning.
-func (o *OfflineHorizon) solveChain() error {
-	cfg, set := o.cfg, o.set
-	st := &o.st
-	bat := cfg.Battery
-	inf := math.Inf(1)
-	H := set.Horizon()
-	T := cfg.T
-	K := (H + T - 1) / T
-
-	prob := st.problem()
-	// Large horizon LPs need a generous pivot budget.
-	prob.SetMaxIterations(200000)
-	defer prob.SetMaxIterations(0)
-
-	gbef := make([]lp.VarID, K)
-	intervalLen := make([]int, K)
-	for k := 0; k < K; k++ {
-		n := minInt(T, H-k*T)
-		intervalLen[k] = n
-		plt := set.PriceLT.At(k * T)
-		gbef[k] = prob.AddVariable("gbef", 0, float64(n)*cfg.PgridMWh, plt)
-	}
-
-	grt, u, c, d, w, e := st.varIDs(H)
-	units := cfg.genUnits()
-	var g [][][]lp.VarID
-	if len(units) > 0 {
-		g = make([][][]lp.VarID, H)
-	}
-	proxy := 0.0
-	if bat.MaxChargeMWh > 0 {
-		proxy = bat.OpCostUSD / math.Max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
-	}
-	for i := 0; i < H; i++ {
-		prt := set.PriceRT.At(i)
-		grt[i] = prob.AddVariable("", 0, cfg.PgridMWh, prt)
-		u[i] = prob.AddVariable("", 0, cfg.SdtMaxMWh, 0)
-		c[i] = prob.AddVariable("", 0, bat.MaxChargeMWh, proxy)
-		d[i] = prob.AddVariable("", 0, bat.MaxDischargeMWh, proxy)
-		w[i] = prob.AddVariable("", 0, inf, cfg.WasteCostUSD)
-		e[i] = prob.AddVariable("", 0, inf, cfg.EmergencyCostUSD)
-		if g != nil {
-			g[i] = addFleetVars(prob, units, i, T, set.FuelScaleAt(i))
-		}
-	}
-
-	b0 := bat.InitialMWh
-	chain := st.chain[:0]
-	serve := st.serve[:0]
-	avail := 0.0
-	for i := 0; i < H; i++ {
-		k := i / T
-		invN := 1.0 / float64(intervalLen[k])
-		dds := set.DemandDS.At(i)
-		r := set.Renewable.At(i)
-
-		balance := append(st.terms[:0],
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-			lp.Term{Var: d[i], Coeff: 1},
-			lp.Term{Var: e[i], Coeff: 1},
-			lp.Term{Var: u[i], Coeff: -1},
-			lp.Term{Var: c[i], Coeff: -1},
-			lp.Term{Var: w[i], Coeff: -1},
-		)
-		if g != nil {
-			balance = appendFleetTerms(balance, g[i])
-		}
-		st.terms = balance
-		prob.AddConstraint(lp.EQ, dds-r, balance...)
-		prob.AddConstraint(lp.LE, cfg.PgridMWh,
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-		)
-		smax := append(st.terms[:0],
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-		)
-		if g != nil {
-			smax = appendFleetTerms(smax, g[i])
-		}
-		st.terms = smax
-		prob.AddConstraint(lp.LE, cfg.SmaxMWh-r, smax...)
-
-		// Battery level and service causality share the incrementally
-		// grown j ≤ i prefixes (same term order and accumulation as the
-		// historical per-constraint rebuild).
-		chain = append(chain,
-			lp.Term{Var: c[i], Coeff: bat.ChargeEff},
-			lp.Term{Var: d[i], Coeff: -bat.DischargeEff},
-		)
-		prob.AddConstraint(lp.GE, bat.MinLevelMWh-b0, chain...)
-		prob.AddConstraint(lp.LE, bat.CapacityMWh-b0, chain...)
-
-		avail += set.DemandDT.At(i)
-		serve = append(serve, lp.Term{Var: u[i], Coeff: 1})
-		prob.AddConstraint(lp.LE, avail, serve...)
-	}
-	st.chain, st.serve = chain, serve
-
-	// Per-interval deadlines with a penalized slack each.
-	arrived := 0.0
-	for k := 0; k < K; k++ {
-		end := k*T + intervalLen[k]
-		for i := k * T; i < end; i++ {
-			arrived += set.DemandDT.At(i)
-		}
-		slack := prob.AddVariable("slack", 0, inf, cfg.EmergencyCostUSD)
-		terms := append(st.terms[:0], serve[:end]...)
-		terms = append(terms, lp.Term{Var: slack, Coeff: 1})
-		st.terms = terms
-		prob.AddConstraint(lp.GE, arrived, terms...)
 	}
 
 	sol, err := st.solve(prob)

@@ -13,9 +13,10 @@ import (
 const ExtAnnualDays = 365
 
 // ExtAnnual is the year-long scenario the sparse revised simplex
-// unlocks: the whole-horizon clairvoyant LP spans 8760 fine slots —
-// far beyond what the dense chain formulation's quadratic constraint
-// matrix could factor — and is compared against the per-interval
+// unlocks: the whole-horizon clairvoyant LP spans 8760 fine slots in
+// the staircase form, whose matrix stays linear in the horizon (the
+// interval LP's chain-form prefix rows stretched over a year would be
+// quadratic), and is compared against the per-interval
 // offline decomposition and the online policies over the same year.
 // Seasonal solar amplitude makes the cross-interval planning question
 // real: the annual horizon LP can shift service across months, the

@@ -155,15 +155,17 @@
 // numerical trouble (singular bases beyond repair, stall limits, NaNs
 // after refactorization) the solver transparently falls back to the
 // dense tableau, so SetSparse can never change a result, only how fast
-// it is computed. Determinism holds exactly as for the dense path:
-// identical problems produce bit-identical pivot sequences and
-// objectives.
+// it is computed. The switch is reported in Solution.DenseFallback, and
+// a sparse solve counts its basis factorizations in
+// Solution.Refactorizations, so callers can gate both deterministically.
+// Determinism holds exactly as for the dense path: identical problems
+// produce bit-identical pivot sequences and objectives.
 //
 // When is dense still the right choice? Below roughly a thousand
 // variables the tableau's simplicity wins: the per-slot P5 LPs
 // (internal/core) and the interval LPs stay dense, and the
 // receding-horizon controller only switches to sparse for foresight
-// windows of 48+ slots. With the hyper-sparse kernels the cost per pivot
+// windows of 24+ slots. With the hyper-sparse kernels the cost per pivot
 // is proportional to the pivot's actual fill rather than the row count,
 // so whole-horizon solve time grows near-linearly with the horizon on
 // the staircase LPs: measured on the synthetic horizon family, 72 slots

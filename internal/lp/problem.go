@@ -63,7 +63,6 @@ type Problem struct {
 	vars    []variable
 	cons    []constraint
 	terms   []Term // every row's terms, back to back in row order
-	maxIter int
 	bounded bool
 	sparse  bool
 }
@@ -75,16 +74,12 @@ func NewProblem() *Problem {
 
 // Reset empties the problem for rebuilding in place, keeping the variable,
 // constraint and term storage so a problem rebuilt to a similar shape
-// allocates nothing. The iteration budget and bound mode are preserved.
+// allocates nothing. The bound and sparse modes are preserved.
 func (p *Problem) Reset() {
 	p.vars = p.vars[:0]
 	p.cons = p.cons[:0]
 	p.terms = p.terms[:0]
 }
-
-// SetMaxIterations overrides the default simplex iteration budget
-// (0 restores the default, which scales with problem size).
-func (p *Problem) SetMaxIterations(n int) { p.maxIter = n }
 
 // SetBounded selects the bounded-variable simplex: a finite upper bound
 // becomes a column bound handled natively by the pivot loop (bound flips,

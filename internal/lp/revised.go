@@ -514,22 +514,19 @@ func (rs *revised) applyPivot(q int, dir float64, r int, theta float64, leaveAt 
 // hyper-sparse. Before declaring any terminal status the loop
 // refactorizes and recomputes everything once ("fresh confirmation"), so
 // accumulated drift can never produce a wrong Optimal/Infeasible answer.
-func (s *Solver) runSparse(p *Problem) (Solution, bool) {
+func (s *Solver) runSparse() (Solution, bool) {
 	sf := &s.sf
 	rs := &s.rev
 	rs.build(sf)
 	rs.crash(sf)
 	rs.lu.factorize(rs)
+	refactors := 1
 	if !rs.refreshXB() {
 		return Solution{}, false
 	}
 	rs.rescanInfeasibility()
 
-	maxIter := p.maxIter
-	if maxIter <= 0 {
-		maxIter = 200 + 60*(rs.m+rs.n)
-	}
-
+	maxIter := 200 + 60*(rs.m+rs.n)
 	pivots := 0
 	stall := 0
 	fresh := true // factors fresh and state rescanned since the last pivot
@@ -539,6 +536,7 @@ func (s *Solver) runSparse(p *Problem) (Solution, bool) {
 		}
 		if rs.lu.needsRefactor() {
 			rs.lu.factorize(rs)
+			refactors++
 			if !rs.refreshXB() {
 				return Solution{}, false
 			}
@@ -556,6 +554,7 @@ func (s *Solver) runSparse(p *Problem) (Solution, bool) {
 				// Confirm the terminal status on fresh factors, exact
 				// basic values and recomputed duals.
 				rs.lu.factorize(rs)
+				refactors++
 				if !rs.refreshXB() {
 					return Solution{}, false
 				}
@@ -565,7 +564,7 @@ func (s *Solver) runSparse(p *Problem) (Solution, bool) {
 				continue
 			}
 			if rs.ninf > 0 {
-				return Solution{Status: Infeasible, Iterations: pivots}, true
+				return Solution{Status: Infeasible, Iterations: pivots, Refactorizations: refactors}, true
 			}
 			break // optimal
 		}
@@ -584,7 +583,7 @@ func (s *Solver) runSparse(p *Problem) (Solution, bool) {
 				// breakpoint always exists in exact arithmetic.
 				return Solution{}, false
 			}
-			return Solution{Status: Unbounded, Iterations: pivots}, true
+			return Solution{Status: Unbounded, Iterations: pivots, Refactorizations: refactors}, true
 		}
 		progress := theta
 		if flip {
@@ -623,9 +622,10 @@ func (s *Solver) runSparse(p *Problem) (Solution, bool) {
 	s.vals = scratch.Zeroed(s.vals, len(sf.recover))
 	sf.recoverValuesInto(s.y, s.vals)
 	return Solution{
-		Status:     Optimal,
-		Objective:  obj,
-		Iterations: pivots,
-		values:     s.vals,
+		Status:           Optimal,
+		Objective:        obj,
+		Iterations:       pivots,
+		Refactorizations: refactors,
+		values:           s.vals,
 	}, true
 }

@@ -35,6 +35,13 @@ type Solution struct {
 	Objective float64
 	// Iterations counts simplex pivots across both phases.
 	Iterations int
+	// Refactorizations counts the basis LU factorizations of a sparse
+	// solve (zero on the dense tableau path, which keeps no factors).
+	Refactorizations int
+	// DenseFallback reports that a sparse problem was abandoned by the
+	// revised simplex and re-solved on the dense tableau; the counters
+	// above then describe the dense solve alone.
+	DenseFallback bool
 
 	values []float64
 }

@@ -37,22 +37,21 @@ func (s *Solver) Solve(p *Problem) (Solution, error) {
 	}
 	p.buildStandardForm(&s.sf)
 	sf := &s.sf
+	fallback := false
 	if p.sparse {
-		if sol, ok := s.runSparse(p); ok {
+		if sol, ok := s.runSparse(); ok {
 			return sol, nil
 		}
 		// Numerical trouble on the sparse path: rebuild the rows dense
 		// and fall through to the exact tableau solver, which owns the
-		// final word on every problem.
+		// final word on every problem. The Solution reports the switch.
 		p.buildStandardFormDense(sf)
+		fallback = true
 	}
 	t := &s.t
 	t.init(sf)
 
-	maxIter := p.maxIter
-	if maxIter <= 0 {
-		maxIter = 200 + 60*(t.m+t.n)
-	}
+	maxIter := 200 + 60*(t.m+t.n)
 
 	// Phase 1: minimize the sum of artificial variables.
 	t.inPhase1 = true
@@ -65,7 +64,7 @@ func (s *Solver) Solve(p *Problem) (Solution, error) {
 		return Solution{}, errNumericalBug
 	}
 	if t.p1val > feasTol {
-		return Solution{Status: Infeasible, Iterations: t.pivots}, nil
+		return Solution{Status: Infeasible, Iterations: t.pivots, DenseFallback: fallback}, nil
 	}
 	t.leavePhase1()
 
@@ -75,7 +74,7 @@ func (s *Solver) Solve(p *Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	if status == Unbounded {
-		return Solution{Status: Unbounded, Iterations: t.pivots}, nil
+		return Solution{Status: Unbounded, Iterations: t.pivots, DenseFallback: fallback}, nil
 	}
 
 	s.y = scratch.Zeroed(s.y, sf.ncols)
@@ -100,10 +99,11 @@ func (s *Solver) Solve(p *Problem) (Solution, error) {
 	s.vals = scratch.Zeroed(s.vals, len(sf.recover))
 	sf.recoverValuesInto(s.y, s.vals)
 	return Solution{
-		Status:     Optimal,
-		Objective:  t.objVal + sf.offset,
-		Iterations: t.pivots,
-		values:     s.vals,
+		Status:        Optimal,
+		Objective:     t.objVal + sf.offset,
+		Iterations:    t.pivots,
+		DenseFallback: fallback,
+		values:        s.vals,
 	}, nil
 }
 

@@ -15,8 +15,10 @@ import (
 
 // CheckpointVersion is the on-disk checkpoint format version. Restore
 // rejects any other value with ErrSnapshotMismatch: a format change gets
-// a new version, never a silent reinterpretation.
-const CheckpointVersion = 1
+// a new version, never a silent reinterpretation. Version 2 keeps
+// version 1's layout; it was bumped because the engine's options
+// fingerprint lost a field, which changed every configHash.
+const CheckpointVersion = 2
 
 // Checkpoint is the JSON image of a session between two slots: every
 // mutable component state plus the controller's own blob. Configuration
@@ -137,8 +139,8 @@ func (s *Session) Snapshot() ([]byte, error) { return s.AppendSnapshot(nil) }
 // assembled and encoded in session-owned storage, so appending into a
 // dst with enough capacity allocates nothing at steady state — the
 // reuse a periodically checkpointing daemon wants. The bytes are
-// CheckpointVersion 1's, identical to the json.Marshal encoding earlier
-// builds wrote (the golden checkpoints in testdata/checkpoint pin them).
+// identical to the json.Marshal encoding of the Checkpoint (the golden
+// checkpoints in testdata/checkpoint pin them).
 func (s *Session) AppendSnapshot(dst []byte) ([]byte, error) {
 	if s.finished {
 		return dst, ErrSessionFinished

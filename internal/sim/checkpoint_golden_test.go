@@ -16,9 +16,11 @@ import (
 //
 //	go test ./internal/sim -run TestCheckpointGolden -update
 //
-// The committed files were captured before the checkpoint encoder moved
-// to session-owned buffers; regenerating them is a checkpoint format
-// change and needs a new sim.CheckpointVersion.
+// Regenerating them is a checkpoint format change and needs a new
+// sim.CheckpointVersion. The files were last regenerated for version 2,
+// whose bytes differ from version 1's only in "version" and
+// "configHash" (the engine options fingerprint lost a field); any other
+// difference in a regeneration is a real encoding change.
 var update = flag.Bool("update", false, "rewrite testdata/checkpoint goldens")
 
 // ckptDays and ckptCut pin the golden checkpoints: a week of the default

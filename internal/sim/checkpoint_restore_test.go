@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
@@ -159,7 +160,9 @@ func FuzzRestore(f *testing.F) {
 		}
 		f.Add(uint8(i), blob)
 		f.Add(uint8(i), blob[:len(blob)/2])
-		f.Add(uint8(i), bytes.Replace(blob, []byte(`"version":1`), []byte(`"version":2`), 1))
+		f.Add(uint8(i), bytes.Replace(blob, // version skew
+			fmt.Appendf(nil, `"version":%d`, sim.CheckpointVersion),
+			fmt.Appendf(nil, `"version":%d`, sim.CheckpointVersion+1), 1))
 		f.Add(uint8(i+1), blob) // another configuration's checkpoint
 	}
 	traces := ckptTraces(f)

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -340,7 +341,8 @@ func TestSessionSnapshotErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tampered := strings.Replace(string(blob), `"version":1`, `"version":99`, 1)
+		tampered := strings.Replace(string(blob),
+			fmt.Sprintf(`"version":%d`, CheckpointVersion), `"version":99`, 1)
 		if tampered == string(blob) {
 			t.Fatal("version field not found in checkpoint")
 		}
